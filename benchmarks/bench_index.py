@@ -1,19 +1,14 @@
-"""INDEX — vector-index backend throughput and recall.
+"""INDEX — vector-index backend throughput.
 
-The tentpole claim of the ``repro.index`` subsystem is that one ANN layer
-can serve every nearest-neighbour call site at three operating points:
-exact per-query (ground truth), blocked batched GEMM (same results,
-amortised scan), and IVF (cluster-pruned, recall tunable via ``nprobe``).
-This bench measures all three on a clustered synthetic embedding set —
-clustered because that is what trained hostname embeddings look like
-(Figure 5), and what IVF's k-means quantizer exploits:
+The ``repro.index`` subsystem serves every nearest-neighbour call site
+from one exhaustive scan at two operating points: exact per-query (ground
+truth) and blocked batched GEMM (same results, amortised scan).  This
+bench measures both on a clustered synthetic embedding set — clustered
+because that is what trained hostname embeddings look like (Figure 5):
 
 * per-query :class:`ExactIndex` queries/second over 1000 queries;
 * :class:`BlockedExactIndex` ``search_batch`` queries/second on the same
-  1000 queries (must beat per-query exact; >= 3x at full scale);
-* :class:`IVFIndex` queries/second and recall@N at the default
-  ``nprobe`` (recall must be >= 0.95), plus a low-``nprobe`` point to
-  record the other end of the recall/latency knob.
+  1000 queries (must beat per-query exact; >= 3x at full scale).
 
 Timings are best-of-k: the box this runs on shares a host, and a single
 stolen timeslice must not decide a ratio assertion.  Results are emitted
@@ -31,13 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.index import (
-    BlockedExactIndex,
-    ExactIndex,
-    IVFIndex,
-    default_nprobe,
-    default_num_clusters,
-)
+from repro.index import BlockedExactIndex, ExactIndex
 from repro.obs.metrics import MetricsRegistry
 
 OUT_DIR = Path(__file__).parent / "out"
@@ -49,14 +38,11 @@ NUM_VECTORS = 8192 if SMOKE else 65536
 DIM = 100                                # the repo's SkipGramConfig.dim
 NUM_TRUE_CLUSTERS = 32                   # planted structure
 TOP_N = 128 if SMOKE else 1000           # full scale = the paper's N
-LOW_NPROBE = 8                           # latency end of the IVF knob
 # CI smoke only asserts "batched beats per-query"; the 3x acceptance
 # floor applies at full scale where the GEMM has room to amortise.
 BLOCKED_SPEEDUP_FLOOR = 1.2 if SMOKE else 3.0
 
 BENCH_REGISTRY = MetricsRegistry()
-
-_CACHE: dict = {}
 
 
 def _emit(name: str, help_text: str, value: float) -> None:
@@ -79,66 +65,29 @@ def _best_of(k: int, run) -> float:
 
 def _fixture():
     """Clustered unit vectors + queries drawn from the same clusters."""
-    if "vectors" not in _CACHE:
-        rng = np.random.default_rng(12345)
-        centers = rng.normal(size=(NUM_TRUE_CLUSTERS, DIM))
-        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-        assignment = rng.integers(NUM_TRUE_CLUSTERS, size=NUM_VECTORS)
-        vectors = centers[assignment] + 0.15 * rng.normal(
-            size=(NUM_VECTORS, DIM)
-        )
-        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        picks = rng.integers(NUM_VECTORS, size=NUM_QUERIES)
-        queries = vectors[picks] + 0.05 * rng.normal(
-            size=(NUM_QUERIES, DIM)
-        )
-        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
-        _CACHE["vectors"] = vectors
-        _CACHE["queries"] = queries
-    return _CACHE["vectors"], _CACHE["queries"]
-
-
-def _exact_run():
-    """Per-query exact pass: (elapsed seconds, top-N ids per query)."""
-    vectors, queries = _fixture()
-    exact = ExactIndex(vectors, metric="cosine", normalized=True)
-    exact.search(queries[0], TOP_N)       # warm-up
-    best, truth = None, None
-    for _ in range(2):
-        started = time.perf_counter()
-        ids = [exact.search(query, TOP_N)[0] for query in queries]
-        elapsed = time.perf_counter() - started
-        if best is None or elapsed < best:
-            best, truth = elapsed, ids
-    return best, truth
-
-
-def _ground_truth():
-    """Exact top-N ids per query (the recall reference), computed once."""
-    if "truth" not in _CACHE:
-        _CACHE["exact_seconds"], _CACHE["truth"] = _exact_run()
-    return _CACHE["truth"]
-
-
-def _exact_seconds() -> float:
-    _ground_truth()
-    return _CACHE["exact_seconds"]
-
-
-def _recall(ids: np.ndarray) -> float:
-    truth = _ground_truth()
-    hits = sum(
-        np.isin(truth[row], ids[row][ids[row] >= 0]).sum()
-        for row in range(NUM_QUERIES)
+    rng = np.random.default_rng(12345)
+    centers = rng.normal(size=(NUM_TRUE_CLUSTERS, DIM))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    assignment = rng.integers(NUM_TRUE_CLUSTERS, size=NUM_VECTORS)
+    vectors = centers[assignment] + 0.15 * rng.normal(
+        size=(NUM_VECTORS, DIM)
     )
-    return float(hits) / (NUM_QUERIES * TOP_N)
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    picks = rng.integers(NUM_VECTORS, size=NUM_QUERIES)
+    queries = vectors[picks] + 0.05 * rng.normal(size=(NUM_QUERIES, DIM))
+    queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+    return vectors, queries
 
 
 def test_blocked_batched_beats_per_query_exact(report_sink):
     vectors, queries = _fixture()
+    exact = ExactIndex(vectors, metric="cosine", normalized=True)
     blocked = BlockedExactIndex(vectors, metric="cosine", normalized=True)
 
-    exact_elapsed = _exact_seconds()
+    exact.search(queries[0], TOP_N)       # warm-up
+    exact_elapsed = _best_of(
+        2, lambda: [exact.search(query, TOP_N) for query in queries]
+    )
     exact_qps = NUM_QUERIES / exact_elapsed
 
     blocked.search_batch(queries, TOP_N)  # warm-up at full batch size
@@ -176,66 +125,6 @@ def test_blocked_batched_beats_per_query_exact(report_sink):
     assert speedup >= BLOCKED_SPEEDUP_FLOOR, (
         f"batched backend must beat per-query exact by "
         f">= {BLOCKED_SPEEDUP_FLOOR:g}x, got {speedup:.2f}x"
-    )
-
-
-def test_ivf_recall_and_throughput(report_sink):
-    vectors, queries = _fixture()
-    ivf = IVFIndex(vectors, metric="cosine", normalized=True)
-
-    ivf.search(queries[0], TOP_N)         # warm-up
-    started = time.perf_counter()
-    ids, _ = ivf.search_batch(queries, TOP_N)
-    ivf_qps = NUM_QUERIES / (time.perf_counter() - started)
-    recall = _recall(ids)
-
-    low = min(LOW_NPROBE, ivf.num_clusters)
-    started = time.perf_counter()
-    low_ids = np.full((NUM_QUERIES, TOP_N), -1, dtype=np.int64)
-    for row, query in enumerate(queries):
-        got, _ = ivf.search_with_nprobe(query, TOP_N, nprobe=low)
-        low_ids[row, : len(got)] = got
-    low_qps = NUM_QUERIES / (time.perf_counter() - started)
-    low_recall = _recall(low_ids)
-
-    lines = [
-        f"IVF recall/latency knob ({ivf.num_clusters} cells)",
-        f"nprobe {ivf.nprobe} (default): {ivf_qps:,.0f} q/s, "
-        f"recall@{TOP_N} {recall:.4f} (floor 0.95)",
-        f"nprobe {low}:        {low_qps:,.0f} q/s, "
-        f"recall@{TOP_N} {low_recall:.4f}",
-    ]
-    report_sink("index_ivf_recall", "\n".join(lines))
-    _emit(
-        "bench_index_ivf_queries_per_second",
-        "IVFIndex search_batch throughput at default nprobe.",
-        ivf_qps,
-    )
-    _emit(
-        "bench_index_ivf_recall_at_n",
-        f"IVF recall@{TOP_N} against the exact top-{TOP_N}.",
-        recall,
-    )
-    _emit(
-        "bench_index_ivf_nprobe",
-        "Default nprobe used for the recall measurement.",
-        float(ivf.nprobe),
-    )
-    _emit(
-        "bench_index_ivf_low_nprobe_queries_per_second",
-        f"IVFIndex per-query throughput at nprobe={LOW_NPROBE}.",
-        low_qps,
-    )
-    _emit(
-        "bench_index_ivf_low_nprobe_recall_at_n",
-        f"IVF recall@{TOP_N} at nprobe={LOW_NPROBE}.",
-        low_recall,
-    )
-    assert ivf.num_clusters == default_num_clusters(NUM_VECTORS)
-    assert ivf.nprobe == default_nprobe(ivf.num_clusters)
-    assert recall >= 0.95, (
-        f"IVF default nprobe must keep recall@{TOP_N} >= 0.95, "
-        f"got {recall:.4f}"
     )
 
 

@@ -27,8 +27,8 @@ from repro.core import SkipGramConfig, SkipGramModel, day_corpus
 from repro.ontology import build_default_taxonomy
 from repro.traffic import (
     PopulationConfig,
+    StreamingTraceGenerator,
     SyntheticWeb,
-    TraceGenerator,
     UserPopulation,
     WebConfig,
 )
@@ -46,7 +46,7 @@ def main() -> None:
     population = UserPopulation.generate(
         web, derive_rng(SEED, "users"), PopulationConfig(num_users=80)
     )
-    trace = TraceGenerator(web, population, seed=SEED).generate(1)
+    trace = StreamingTraceGenerator(web, population, seed=SEED).materialize(1)
 
     # The paper's Figure 4 preprocessing: one day, SLD-collapsed.
     raw_corpus = day_corpus(trace, 0)

@@ -30,8 +30,8 @@ from repro.defense import (
 from repro.ontology import OntologyLabeler, build_default_taxonomy
 from repro.traffic import (
     PopulationConfig,
+    StreamingTraceGenerator,
     SyntheticWeb,
-    TraceGenerator,
     TrackerFilter,
     UserPopulation,
     WebConfig,
@@ -51,7 +51,7 @@ def main() -> None:
     population = UserPopulation.generate(
         web, derive_rng(SEED, "users"), PopulationConfig(num_users=50)
     )
-    trace = TraceGenerator(web, population, seed=SEED).generate(2)
+    trace = StreamingTraceGenerator(web, population, seed=SEED).materialize(2)
     tracker_filter = TrackerFilter(
         build_blocklists(web, derive_rng(SEED, "bl"))
     )

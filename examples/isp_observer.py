@@ -32,8 +32,8 @@ from repro.netobs import (
 from repro.ontology import OntologyLabeler, build_default_taxonomy
 from repro.traffic import (
     PopulationConfig,
+    StreamingTraceGenerator,
     SyntheticWeb,
-    TraceGenerator,
     UserPopulation,
     WebConfig,
 )
@@ -52,7 +52,7 @@ def build_world():
     population = UserPopulation.generate(
         web, derive_rng(SEED, "users"), PopulationConfig(num_users=40)
     )
-    trace = TraceGenerator(web, population, seed=SEED).generate(2)
+    trace = StreamingTraceGenerator(web, population, seed=SEED).materialize(2)
     labeler = OntologyLabeler(taxonomy, coverage=0.106)
     labelled = labeler.build_labelled_set(
         web.ground_truth(),

@@ -18,8 +18,8 @@ from repro.core import NetworkObserverProfiler, PipelineConfig, SkipGramConfig
 from repro.ontology import OntologyLabeler, build_default_taxonomy
 from repro.traffic import (
     PopulationConfig,
+    StreamingTraceGenerator,
     SyntheticWeb,
-    TraceGenerator,
     TrackerFilter,
     UserPopulation,
     WebConfig,
@@ -43,7 +43,7 @@ def main() -> None:
     population = UserPopulation.generate(
         web, derive_rng(SEED, "users"), PopulationConfig(num_users=60)
     )
-    trace = TraceGenerator(web, population, seed=SEED).generate(2)
+    trace = StreamingTraceGenerator(web, population, seed=SEED).materialize(2)
     print(f"trace: {trace.num_requests} requests, "
           f"{len(trace.distinct_hostnames())} distinct hostnames")
 

@@ -34,7 +34,7 @@ The ``train``, ``stream`` and ``experiment`` commands accept
 ``--store DIR``: trained models are published into a generation store
 (embeddings + vector index + profiler config, atomically, with content
 digests) and ``stream --store`` warm-restarts serving from the latest
-generation without retraining or re-clustering.
+generation without retraining or rebuilding the index.
 
 The ``experiment``, ``train``, ``observe`` and ``stream`` commands accept
 ``--metrics-out PATH`` (``.json`` → snapshot, anything else → Prometheus
@@ -42,9 +42,8 @@ text) and ``--trace-out PATH`` (Chrome ``trace_event`` JSON, loadable in
 chrome://tracing or https://ui.perfetto.dev).
 
 The ``experiment``, ``stream`` and ``neighbours`` commands accept
-``--index-backend {exact,blocked,ivf}`` (and ``--index-nprobe`` for the
-IVF recall knob) to pick the vector-index backend behind every
-nearest-neighbour search; see DESIGN.md ("Vector index").
+``--index-backend {exact,blocked}`` to pick the vector-index backend
+behind every nearest-neighbour search; see DESIGN.md ("Vector index").
 
 The deep introspection plane (DESIGN.md, "Deep introspection"):
 ``stream`` and ``experiment`` accept ``--trace-sample-rate`` (head-
@@ -74,12 +73,10 @@ def _build_world(seed: int, num_sites: int, num_users: int, days: int):
 
 
 def _index_config(args: argparse.Namespace):
-    """Build an :class:`IndexConfig` from the ``--index-*`` flags."""
+    """Build an :class:`IndexConfig` from ``--index-backend``."""
     from repro.index import IndexConfig
 
-    return IndexConfig(
-        backend=args.index_backend, nprobe=args.index_nprobe
-    )
+    return IndexConfig(backend=args.index_backend)
 
 
 def _open_store(args: argparse.Namespace, registry, tracer):
@@ -1301,16 +1298,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_index_args(p):
         p.add_argument(
-            "--index-backend", choices=("exact", "blocked", "ivf"),
+            "--index-backend", choices=("exact", "blocked"),
             default="exact",
             help="vector-index backend behind nearest-neighbour search "
-            "(exact = brute force, blocked = batched float32 GEMM, "
-            "ivf = k-means cluster pruning; see DESIGN.md)",
-        )
-        p.add_argument(
-            "--index-nprobe", type=int, default=None, metavar="K",
-            help="IVF clusters probed per query (recall knob; "
-            "default = half the cells)",
+            "(exact = brute force, blocked = batched float32 GEMM; "
+            "see DESIGN.md)",
         )
 
     def add_store_args(p):

@@ -228,8 +228,7 @@ class NetworkObserverProfiler:
         """Serve a stored generation (``latest`` unless named).
 
         Every component is digest-verified before deserialization, the
-        saved index is *loaded*, not rebuilt (IVF centroids come back
-        as published — no re-clustering), and the session profiler is
+        saved index is *loaded*, not rebuilt, and the session profiler is
         reassembled from the generation's own config, so the restored
         observer scores sessions exactly as the one that published.
 

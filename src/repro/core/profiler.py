@@ -306,8 +306,7 @@ class SessionProfiler:
                 neighbours = None
             else:
                 row = row_of[i]
-                mask = ids_batch[row] >= 0
-                neighbours = (ids_batch[row][mask], sims_batch[row][mask])
+                neighbours = (ids_batch[row], sims_batch[row])
             results.append(
                 self._vote(hosts, vectors[i], neighbours)
             )

@@ -12,32 +12,24 @@ from repro.index.base import (
     BACKENDS,
     INDEX_FORMAT,
     METRICS,
-    PAD_ID,
     IndexConfig,
     VectorIndex,
     build_index,
-    default_nprobe,
-    default_num_clusters,
     load_index,
     top_ids_desc,
     unit_rows,
 )
 from repro.index.exact import BlockedExactIndex, ExactIndex
-from repro.index.ivf import IVFIndex
 
 __all__ = [
     "BACKENDS",
     "INDEX_FORMAT",
     "METRICS",
-    "PAD_ID",
     "BlockedExactIndex",
     "ExactIndex",
-    "IVFIndex",
     "IndexConfig",
     "VectorIndex",
     "build_index",
-    "default_nprobe",
-    "default_num_clusters",
     "load_index",
     "top_ids_desc",
     "unit_rows",

@@ -5,16 +5,13 @@ the N = 1000 cosine neighbourhood per session (Eq. 3/4), the 20-NN
 Euclidean ad lookup (Section 5.4), and the Figure-5 cluster inspection
 are all "find the rows of a matrix closest to a query".  Before this
 subsystem each caller re-implemented the full O(|V| x d) scan; now they
-share one :class:`VectorIndex` contract with interchangeable backends:
+share one :class:`VectorIndex` contract with two exhaustive backends:
 
 * :class:`~repro.index.exact.ExactIndex` — the brute-force scan, kept
   bit-for-bit compatible with the historical call sites; ground truth.
 * :class:`~repro.index.exact.BlockedExactIndex` — cache-blocked batched
   float32 matmul; still exhaustive, but scores many queries per GEMM so
   batched profiling amortises the scan.
-* :class:`~repro.index.ivf.IVFIndex` — k-means coarse quantizer with
-  ``nprobe`` cluster pruning and exact re-ranking; sublinear per query,
-  recall tunable via ``nprobe``.
 
 Score convention: **higher is better** for every metric.  ``cosine``
 scores are cosine similarities; ``euclidean`` scores are *negative
@@ -25,7 +22,6 @@ compute, and one ordering rule serves both metrics).
 from __future__ import annotations
 
 import json
-import math
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -41,12 +37,8 @@ from repro.obs.metrics import (
 from repro.obs.tracing import NULL_TRACER, current_exemplar
 from repro.utils.serialization import save_npz_deterministic
 
-#: Sentinel id used to pad rectangular batch results when a backend
-#: returns fewer than ``n`` candidates (IVF with few probed clusters).
-PAD_ID = -1
-
 METRICS = ("cosine", "euclidean")
-BACKENDS = ("exact", "blocked", "ivf")
+BACKENDS = ("exact", "blocked")
 
 #: Format marker in saved index archives (see :meth:`VectorIndex.save`).
 INDEX_FORMAT = "repro-index-v1"
@@ -60,13 +52,6 @@ class IndexConfig:
     # BlockedExactIndex: rows scored per block (tuned to keep a block of
     # the float32 matrix plus the score tile inside L2).
     block_rows: int = 8192
-    # IVFIndex: number of k-means cells; None = ~sqrt(|V|).
-    num_clusters: int | None = None
-    # IVFIndex: cells probed per query; None = half the cells, a
-    # recall-first default (see DESIGN.md "Vector index").
-    nprobe: int | None = None
-    kmeans_iterations: int = 10
-    seed: int = 0
 
     def validate(self) -> None:
         if self.backend not in BACKENDS:
@@ -76,12 +61,6 @@ class IndexConfig:
             )
         if self.block_rows < 1:
             raise ValueError("block_rows must be >= 1")
-        if self.num_clusters is not None and self.num_clusters < 1:
-            raise ValueError("num_clusters must be >= 1")
-        if self.nprobe is not None and self.nprobe < 1:
-            raise ValueError("nprobe must be >= 1")
-        if self.kmeans_iterations < 1:
-            raise ValueError("kmeans_iterations must be >= 1")
 
 
 def unit_rows(matrix: np.ndarray) -> np.ndarray:
@@ -112,7 +91,7 @@ class VectorIndex(ABC):
     :meth:`repro.core.pipeline.NetworkObserverProfiler.train_on_sequences`).
     """
 
-    #: short backend identifier ("exact" / "blocked" / "ivf")
+    #: short backend identifier ("exact" / "blocked")
     name: str = "?"
 
     def __init__(
@@ -149,8 +128,7 @@ class VectorIndex(ABC):
         ).labels(backend=self.name)
         self._scanned_total = registry.counter(
             "index_rows_scanned_total",
-            "Candidate rows scored across all queries (exhaustive "
-            "backends scan |V| per query; IVF scans the probed cells).",
+            "Candidate rows scored across all queries (|V| per query).",
             labelnames=("backend",),
         ).labels(backend=self.name)
         self._search_seconds = registry.histogram(
@@ -215,30 +193,26 @@ class VectorIndex(ABC):
     def _search_prepared(
         self, query: np.ndarray, n: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, scores) for one prepared query; both length <= n."""
+        """(ids, scores) for one prepared query; both length min(n, |V|)."""
 
     def _search_batch_prepared(
         self, queries: np.ndarray, n: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Default batch path: per-row search, padded rectangular."""
+        """Default batch path: one :meth:`_search_prepared` per row."""
         n = min(n, len(self))
-        ids = np.full((queries.shape[0], n), PAD_ID, dtype=np.int64)
-        scores = np.full((queries.shape[0], n), -np.inf)
+        ids = np.empty((queries.shape[0], n), dtype=np.int64)
+        scores = np.empty((queries.shape[0], n))
         for row, query in enumerate(queries):
-            row_ids, row_scores = self._search_prepared(query, n)
-            ids[row, : len(row_ids)] = row_ids
-            scores[row, : len(row_scores)] = row_scores
+            ids[row], scores[row] = self._search_prepared(query, n)
         return ids, scores
 
     def search(
         self, query: np.ndarray, n: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The up-to-``n`` best rows for one query.
+        """The ``min(n, |V|)`` best rows for one query.
 
-        Returns ``(ids, scores)`` sorted best-first.  Fewer than ``n``
-        results come back when ``n`` exceeds the matrix (every backend)
-        or the probed cells held fewer candidates (IVF); ``n <= 0``
-        returns empty arrays rather than misbehaving.
+        Returns ``(ids, scores)`` sorted best-first; ``n <= 0`` returns
+        empty arrays rather than misbehaving.
         """
         if n <= 0:
             return (np.empty(0, dtype=np.int64), np.empty(0))
@@ -262,11 +236,10 @@ class VectorIndex(ABC):
     def search_batch(
         self, queries: np.ndarray, n: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Best rows for many queries at once: ``(B, <=n)`` arrays.
+        """Best rows for many queries at once: ``(B, min(n, |V|))`` arrays.
 
-        Rows with fewer results are right-padded with ``PAD_ID`` /
-        ``-inf`` so the result stays rectangular; callers mask on
-        ``ids >= 0``.
+        Both backends are exhaustive, so every row holds exactly
+        ``min(n, |V|)`` results, best-first.
         """
         queries = self._prepare_queries(queries)
         if n <= 0 or queries.shape[0] == 0:
@@ -294,11 +267,7 @@ class VectorIndex(ABC):
         return ids, scores
 
     def scores_all(self, query: np.ndarray) -> np.ndarray:
-        """Scores of the query against **every** row (exhaustive).
-
-        Exact for every backend — IVF keeps the full matrix for
-        re-ranking, so "to all" queries never pay a recall penalty.
-        """
+        """Scores of the query against **every** row (exhaustive)."""
         query = self._prepare_query(query)
         if self._measure:
             self._queries_total.inc()
@@ -317,9 +286,8 @@ class VectorIndex(ABC):
         """(hyperparam meta, extra arrays) a backend needs to restore.
 
         The base contract persists nothing beyond the vectors; backends
-        with build-time state (block size, centroids, assignments)
-        override this so :func:`load_index` can reconstruct them without
-        redoing the build.
+        with build-time state (the block size) override this so
+        :func:`load_index` can reconstruct them without redoing the build.
         """
         return {}, {}
 
@@ -340,8 +308,7 @@ class VectorIndex(ABC):
         The archive holds the stored vector matrix (already unit rows
         for cosine), any backend-specific arrays, and a JSON header; a
         retrained observer restores it with :func:`load_index` instead
-        of rebuilding — for IVF that means centroids and cell
-        assignments load as-is, with no re-clustering.
+        of rebuilding.
         ``compress=False`` writes mappable members so a worker fleet can
         :func:`load_index` the archive with ``mmap_mode="r"`` zero-copy.
         """
@@ -363,16 +330,6 @@ class VectorIndex(ABC):
         save_npz_deterministic(path, payload, compress=compress)
 
 
-def default_num_clusters(size: int) -> int:
-    """The IVF default: ~sqrt(|V|) cells, clamped to the matrix."""
-    return max(1, min(size, int(round(math.sqrt(size)))))
-
-
-def default_nprobe(num_clusters: int) -> int:
-    """Recall-first default: probe half the cells (see DESIGN.md)."""
-    return max(1, (num_clusters + 1) // 2)
-
-
 def build_index(
     vectors: np.ndarray,
     metric: str = "cosine",
@@ -382,7 +339,6 @@ def build_index(
 ) -> VectorIndex:
     """Construct the backend named by ``config.backend``."""
     from repro.index.exact import BlockedExactIndex, ExactIndex
-    from repro.index.ivf import IVFIndex
 
     config = config or IndexConfig()
     config.validate()
@@ -391,16 +347,9 @@ def build_index(
             vectors, metric=metric, normalized=normalized,
             registry=registry,
         )
-    if config.backend == "blocked":
-        return BlockedExactIndex(
-            vectors, metric=metric, normalized=normalized,
-            block_rows=config.block_rows, registry=registry,
-        )
-    return IVFIndex(
+    return BlockedExactIndex(
         vectors, metric=metric, normalized=normalized,
-        num_clusters=config.num_clusters, nprobe=config.nprobe,
-        kmeans_iterations=config.kmeans_iterations,
-        seed=config.seed, registry=registry,
+        block_rows=config.block_rows, registry=registry,
     )
 
 
@@ -412,10 +361,8 @@ def load_index(
     """Restore an index saved with :meth:`VectorIndex.save`.
 
     Dispatches on the archive's backend header.  Restoring never redoes
-    build work: exact and blocked archives are plain matrix loads, and
-    IVF archives carry their centroids and cell assignments, so a daily
-    rollover (or a crash recovery) serves the same clustering it
-    published instead of paying k-means again.
+    build work: both backends' archives are plain matrix loads.  A header
+    naming any other backend raises ``ValueError``.
 
     ``mmap_mode="r"`` binds the index to read-only mapped views of the
     archive (see :func:`~repro.utils.serialization.load_npz_mapped`):
@@ -423,7 +370,6 @@ def load_index(
     copy of the vector matrix through the OS page cache.
     """
     from repro.index.exact import BlockedExactIndex, ExactIndex
-    from repro.index.ivf import IVFIndex
     from repro.utils.serialization import load_npz_mapped
 
     path = Path(path)
@@ -459,14 +405,6 @@ def load_index(
             return BlockedExactIndex(
                 vectors, metric=header["metric"], normalized=True,
                 block_rows=int(header["block_rows"]), registry=registry,
-            )
-        if backend == "ivf":
-            return IVFIndex(
-                vectors, metric=header["metric"], normalized=True,
-                nprobe=int(header["nprobe"]),
-                centroids=get("centroids"),
-                assignment=get("assignment"),
-                registry=registry,
             )
         raise ValueError(f"{path}: unknown index backend {backend!r}")
     finally:

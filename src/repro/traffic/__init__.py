@@ -22,7 +22,6 @@ from repro.traffic.generator import (
     StreamingTraceGenerator,
     Trace,
     TraceBatch,
-    TraceGenerator,
 )
 from repro.traffic.io import (
     ShardedTraceWriter,
@@ -65,7 +64,6 @@ __all__ = [
     "Trace",
     "TraceBatch",
     "TraceFormatError",
-    "TraceGenerator",
     "TrackerFilter",
     "UserPopulation",
     "UserProfile",

@@ -1,22 +1,20 @@
-"""Multi-day, multi-user trace generation — materialized and streamed.
+"""Multi-day, multi-user trace generation, streamed out of core.
 
-``TraceGenerator`` assembles the browsing model into the artefact every
-other subsystem consumes: a :class:`Trace`, i.e. per-day lists of requests
-across the whole population.  Day/user randomness is derived independently
-(``derive_rng(seed, "day{d}.user{u}")``) so any day can be regenerated in
-isolation and in any order — which is how the daily-retraining pipeline and
-the benchmarks slice the timeline.
+:class:`StreamingTraceGenerator` assembles the browsing model into the
+artefact every other subsystem consumes: time-ordered :class:`TraceBatch`es
+of requests across the whole population, or (via :meth:`materialize`) a
+:class:`Trace` of per-day request lists.  Day/user randomness is derived
+independently (``derive_rng(seed, "day{d}.user{u}")``) so any day can be
+regenerated in isolation and in any order — which is how the
+daily-retraining pipeline and the benchmarks slice the timeline.
 
-:class:`StreamingTraceGenerator` is the out-of-core counterpart: the same
-seeded model, emitted as bounded, time-ordered :class:`TraceBatch`es
-instead of a whole-population ``Trace``.  Users are realized in chunks,
-each chunk's day is sorted and (when more than one chunk exists) spilled
-to disk, and the shards are heap-merged back into one globally
-``(timestamp, user_id)``-ordered stream — a classic external sort whose
-peak memory is O(chunk + batch), never O(population).  The correctness
-spine is *seeded equivalence*: for any (seed, config) the concatenated
-batches of a day are byte-identical to the legacy materialized
-``Trace.day(d)`` (the parity property tests pin exactly this).
+Users are realized in chunks, each chunk's day is sorted and (when more
+than one chunk exists) spilled to disk, and the shards are heap-merged
+back into one globally ``(timestamp, user_id)``-ordered stream — a classic
+external sort whose peak memory is O(chunk + batch), never O(population).
+The correctness spine is *seeded equivalence*: for any (seed, config) the
+emitted stream is fixed regardless of batching and chunking, and golden
+SHA-256 digests of it are pinned in ``tests/traffic/test_streamgen.py``.
 
 Generation is resumable: every batch carries a :class:`GenerationCursor`
 ``(day, batch_index)`` that can be serialized like a checkpoint and handed
@@ -48,7 +46,7 @@ from repro.obs.metrics import (
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.traffic.events import HostKind, Request
 from repro.traffic.sessions import BrowsingModel, SessionConfig
-from repro.traffic.users import UserPopulation, UserProfile
+from repro.traffic.users import UserProfile
 from repro.traffic.web import SyntheticWeb
 from repro.utils.randomness import derive_rng
 from repro.utils.timeutils import DAY_SECONDS, HOUR_SECONDS
@@ -147,10 +145,10 @@ def user_day_requests(
 ) -> list[Request]:
     """One user's requests for one day, from their own derived stream.
 
-    This is the shared seeded kernel of both generators: because the rng is
-    namespaced ``day{d}.user{u}``, any (day, user) cell is reconstructible
-    in isolation — the property the streaming generator's resume cursor and
-    the materialized/streamed parity guarantee both rest on.
+    This is the generator's seeded kernel: because the rng is namespaced
+    ``day{d}.user{u}``, any (day, user) cell is reconstructible in
+    isolation — the property the resume cursor, shard filtering and the
+    chunking-invariance guarantee all rest on.
     """
     rng = derive_rng(seed, f"day{day}.user{user.user_id}")
     n_sessions = int(rng.poisson(user.sessions_per_day))
@@ -159,53 +157,6 @@ def user_day_requests(
         start = diurnal.sample_start(day, rng)
         requests.extend(model.session_requests(user, start, rng))
     return requests
-
-
-class TraceGenerator:
-    """Turns (web, population, seed) into reproducible daily traces."""
-
-    def __init__(
-        self,
-        web: SyntheticWeb,
-        population: UserPopulation,
-        seed: int,
-        session_config: SessionConfig | None = None,
-        diurnal: DiurnalModel | None = None,
-    ):
-        self.web = web
-        self.population = population
-        self.seed = int(seed)
-        self.model = BrowsingModel(web, session_config)
-        self.diurnal = diurnal or DiurnalModel()
-
-    def _user_day_requests(
-        self, user: UserProfile, day: int
-    ) -> list[Request]:
-        return user_day_requests(
-            self.model, self.diurnal, self.seed, user, day
-        )
-
-    def day_requests(self, day: int) -> list[Request]:
-        """All requests of one absolute day, sorted by timestamp."""
-        if day < 0:
-            raise ValueError("day must be >= 0")
-        requests: list[Request] = []
-        for user in self.population:
-            requests.extend(self._user_day_requests(user, day))
-        requests.sort(key=lambda r: (r.timestamp, r.user_id))
-        return requests
-
-    def generate(self, num_days: int, start_day: int = 0) -> Trace:
-        """Generate ``num_days`` consecutive days starting at ``start_day``."""
-        if num_days < 1:
-            raise ValueError("num_days must be >= 1")
-        return Trace(
-            days=[
-                self.day_requests(day)
-                for day in range(start_day, start_day + num_days)
-            ],
-            start_day=start_day,
-        )
 
 
 # -- streaming generation ----------------------------------------------------
@@ -291,10 +242,9 @@ def _read_spill(handle) -> Iterator[Request]:
 class StreamingTraceGenerator:
     """Seeded, resumable, out-of-core trace generation.
 
-    Produces exactly the request stream :class:`TraceGenerator` would
-    materialize — byte-identical per day for the same ``(seed, config)`` —
-    but as an iterator of bounded :class:`TraceBatch`es whose peak memory
-    is O(users_per_chunk + batch_events), never O(population x day).
+    Produces one fixed request stream per ``(seed, config)`` as an
+    iterator of bounded :class:`TraceBatch`es whose peak memory is
+    O(users_per_chunk + batch_events), never O(population x day).
 
     ``population`` is any provider with ``__len__`` and
     ``profile(user_id) -> UserProfile``: the materialized
@@ -418,7 +368,7 @@ class StreamingTraceGenerator:
     # -- one day, merged across users ---------------------------------------
 
     def _chunk_requests(self, day: int, lo: int, hi: int) -> list[Request]:
-        """Requests of users [lo, hi) for one day, sorted like a legacy day."""
+        """Requests of users [lo, hi) for one day, time-sorted."""
         requests: list[Request] = []
         for user_id in range(lo, hi):
             if self.user_filter is not None and not self.user_filter(
@@ -526,7 +476,7 @@ class StreamingTraceGenerator:
             iterator.close()
 
     def day_requests(self, day: int) -> list[Request]:
-        """Materialized single day (API parity with :class:`TraceGenerator`)."""
+        """All requests of one absolute day, sorted by timestamp."""
         return list(self.iter_day_requests(day))
 
     # -- the batch stream ----------------------------------------------------
@@ -639,6 +589,3 @@ class StreamingTraceGenerator:
             ],
             start_day=start_day,
         )
-
-    # Drop-in for call sites that held a TraceGenerator.
-    generate = materialize

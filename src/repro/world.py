@@ -8,11 +8,10 @@ the out-of-core twin for populations that must never be materialized —
 it returns a :class:`LazyWorld` whose trace exists only as the streaming
 generator's batch iterator.
 
-``make_world`` itself is now a thin materializing wrapper over the
-stream: the trace it returns is collected from
-:class:`~repro.traffic.generator.StreamingTraceGenerator`, which the
-parity property tests pin byte-identical to the historical
-``TraceGenerator`` output for any (seed, config).
+``make_world`` itself is a thin materializing wrapper over the stream:
+the trace it returns is collected from
+:class:`~repro.traffic.generator.StreamingTraceGenerator`, whose output
+for a (seed, config) is pinned to golden digests by the generator tests.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.traffic import (
     SyntheticWeb,
     Trace,
     TraceBatch,
-    TraceGenerator,
     TrackerFilter,
     UserPopulation,
     WebConfig,
@@ -93,12 +91,12 @@ class World:
     trace: Trace
     tracker_filter: TrackerFilter
     labelled: dict[str, np.ndarray]
-    generator: TraceGenerator
+    generator: StreamingTraceGenerator
 
     def extend_trace(self, num_days: int) -> Trace:
         """Generate more days after the existing trace (reproducibly)."""
         start = self.trace.start_day + len(self.trace)
-        extra = self.generator.generate(num_days, start_day=start)
+        extra = self.generator.materialize(num_days, start_day=start)
         self.trace = Trace(
             days=self.trace.days + extra.days,
             start_day=self.trace.start_day,
@@ -245,15 +243,10 @@ def make_world(
         derive_rng(seed, "population"),
         population_config or PopulationConfig(num_users=num_users),
     )
-    generator = TraceGenerator(
+    generator = StreamingTraceGenerator(
         web, population, seed=seed, session_config=session_config
     )
-    # The trace is materialized through the streaming generator — the
-    # parity tests guarantee this is byte-identical to generator.generate.
-    streaming = StreamingTraceGenerator(
-        web, population, seed=seed, session_config=session_config
-    )
-    trace = streaming.materialize(num_days)
+    trace = generator.materialize(num_days)
     tracker_filter = TrackerFilter(
         build_blocklists(web, derive_rng(seed, "blocklists"))
     )

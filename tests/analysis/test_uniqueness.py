@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.uniqueness import jaccard, reidentify
-from repro.traffic import TraceGenerator
+from repro.traffic import StreamingTraceGenerator
 
 
 class TestJaccard:
@@ -84,8 +84,8 @@ class TestReidentify:
     ):
         """The Fig. 2/3 claim quantified: outside-core behaviour is a
         fingerprint that survives across days."""
-        generator = TraceGenerator(web, population, seed=31)
-        trace = generator.generate(4)
+        generator = StreamingTraceGenerator(web, population, seed=31)
+        trace = generator.materialize(4)
         week1 = {}
         week2 = {}
         for day in (0, 1):

@@ -14,8 +14,8 @@ from repro.core import SkipGramConfig, SkipGramModel, day_corpus
 from repro.ontology import OntologyLabeler, build_default_taxonomy
 from repro.traffic import (
     PopulationConfig,
+    StreamingTraceGenerator,
     SyntheticWeb,
-    TraceGenerator,
     TrackerFilter,
     UserPopulation,
     WebConfig,
@@ -51,8 +51,8 @@ def population(web):
 
 @pytest.fixture(scope="session")
 def trace(web, population):
-    generator = TraceGenerator(web, population, seed=TEST_SEED)
-    return generator.generate(2)
+    generator = StreamingTraceGenerator(web, population, seed=TEST_SEED)
+    return generator.materialize(2)
 
 
 @pytest.fixture(scope="session")

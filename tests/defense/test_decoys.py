@@ -5,7 +5,7 @@ import pytest
 from repro.defense.decoys import DecoyConfig, DecoyInjector, evaluate_defense
 from repro.core.pipeline import PipelineConfig
 from repro.core.skipgram import SkipGramConfig
-from repro.traffic import TraceGenerator
+from repro.traffic import StreamingTraceGenerator
 
 
 @pytest.fixture()
@@ -82,7 +82,9 @@ class TestEvaluateDefense:
     def test_defense_degrades_fidelity(
         self, web, population, labelled, rng
     ):
-        trace = TraceGenerator(web, population, seed=41).generate(2)
+        trace = StreamingTraceGenerator(
+            web, population, seed=41
+        ).materialize(2)
         injector = DecoyInjector(
             web, DecoyConfig(decoy_rate=3.0, strategy="chaff")
         )
@@ -103,7 +105,9 @@ class TestEvaluateDefense:
         )
 
     def test_report_fields(self, web, population, labelled, rng):
-        trace = TraceGenerator(web, population, seed=43).generate(2)
+        trace = StreamingTraceGenerator(
+            web, population, seed=43
+        ).materialize(2)
         injector = DecoyInjector(web, DecoyConfig(decoy_rate=0.5))
         report = evaluate_defense(
             web, trace, labelled, injector, rng,

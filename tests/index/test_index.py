@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from repro.index import (
-    PAD_ID,
     BlockedExactIndex,
     ExactIndex,
-    IVFIndex,
     IndexConfig,
     build_index,
-    default_nprobe,
-    default_num_clusters,
     top_ids_desc,
     unit_rows,
 )
@@ -60,10 +56,8 @@ class TestConfig:
         "kwargs",
         [
             {"backend": "faiss"},
+            {"backend": "ivf"},
             {"block_rows": 0},
-            {"num_clusters": 0},
-            {"nprobe": 0},
-            {"kmeans_iterations": 0},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -75,19 +69,12 @@ class TestConfig:
         for backend, cls in (
             ("exact", ExactIndex),
             ("blocked", BlockedExactIndex),
-            ("ivf", IVFIndex),
         ):
             index = build_index(
                 matrix, config=IndexConfig(backend=backend)
             )
             assert isinstance(index, cls)
             assert index.name == backend
-
-    def test_defaults_scale_with_size(self):
-        assert default_num_clusters(10000) == 100
-        assert default_num_clusters(1) == 1
-        assert default_nprobe(100) == 50
-        assert default_nprobe(1) == 1
 
 
 class TestContract:
@@ -97,7 +84,6 @@ class TestContract:
         return [
             ExactIndex(matrix, metric=metric),
             BlockedExactIndex(matrix, metric=metric, block_rows=17),
-            IVFIndex(matrix, metric=metric, num_clusters=4),
         ]
 
     def test_search_non_positive_n_is_empty(self):
@@ -110,7 +96,9 @@ class TestContract:
     def test_search_n_clamped_to_size(self):
         for index in self._backends(_matrix(size=10)):
             ids, _ = index.search(np.ones(8), 50)
-            assert len(ids) <= 10
+            assert len(ids) == 10
+            ids, _ = index.search_batch(np.ones((2, 8)), 50)
+            assert ids.shape == (2, 10)
 
     def test_batch_matches_single(self):
         matrix = _matrix()
@@ -120,11 +108,9 @@ class TestContract:
             assert batch_ids.shape == (5, 7)
             for row, query in enumerate(queries):
                 ids, scores = index.search(query, 7)
-                got = batch_ids[row][batch_ids[row] >= 0]
-                np.testing.assert_array_equal(got, ids)
+                np.testing.assert_array_equal(batch_ids[row], ids)
                 np.testing.assert_allclose(
-                    batch_scores[row][: len(scores)], scores,
-                    rtol=1e-5, atol=1e-6,
+                    batch_scores[row], scores, rtol=1e-5, atol=1e-6,
                 )
 
     def test_batch_empty_inputs(self):
@@ -202,59 +188,6 @@ class TestExactness:
             )
 
 
-class TestIVF:
-    def test_full_probe_matches_exact(self):
-        matrix = _matrix(size=100)
-        exact = ExactIndex(matrix)
-        ivf = IVFIndex(matrix, num_clusters=8, nprobe=8)
-        for seed in range(5):
-            query = _matrix(size=1, seed=seed)[0]
-            np.testing.assert_array_equal(
-                ivf.search(query, 15)[0], exact.search(query, 15)[0]
-            )
-
-    def test_partial_probe_returns_subset_of_matrix(self):
-        matrix = _matrix(size=100)
-        ivf = IVFIndex(matrix, num_clusters=10, nprobe=2)
-        ids, scores = ivf.search(np.ones(8), 30)
-        assert len(ids) <= 30
-        assert len(set(ids.tolist())) == len(ids)
-        assert (np.diff(scores) <= 0).all()
-
-    def test_batch_pads_with_pad_id(self):
-        # 1 probed cell of a tiny clustered matrix can hold < n rows.
-        rng = np.random.default_rng(0)
-        matrix = np.vstack(
-            [rng.normal(size=(10, 4)) + 20, rng.normal(size=(10, 4)) - 20]
-        )
-        ivf = IVFIndex(matrix, num_clusters=2, nprobe=1)
-        ids, scores = ivf.search_batch(rng.normal(size=(4, 4)) + 20, 15)
-        assert ids.shape == (4, 15)
-        assert (ids[:, 10:] == PAD_ID).all()
-        assert np.isneginf(scores[:, 10:]).all()
-
-    def test_cells_partition_the_matrix(self):
-        ivf = IVFIndex(_matrix(size=50), num_clusters=7)
-        assert sum(ivf.cell_sizes) == 50
-        assert min(ivf.cell_sizes) >= 1   # reseeding kills empty cells
-
-    def test_deterministic_across_builds(self):
-        matrix = _matrix(size=80)
-        a = IVFIndex(matrix, num_clusters=6, seed=3)
-        b = IVFIndex(matrix, num_clusters=6, seed=3)
-        query = np.ones(8)
-        np.testing.assert_array_equal(
-            a.search(query, 10)[0], b.search(query, 10)[0]
-        )
-
-    def test_search_with_nprobe_clamps(self):
-        ivf = IVFIndex(_matrix(size=40), num_clusters=5, nprobe=1)
-        full, _ = ivf.search_with_nprobe(np.ones(8), 10, nprobe=99)
-        exact = ExactIndex(_matrix(size=40))
-        np.testing.assert_array_equal(full, exact.search(np.ones(8), 10)[0])
-        assert len(ivf.search_with_nprobe(np.ones(8), 0, nprobe=2)[0]) == 0
-
-
 class TestMetrics:
     def test_counters_and_histograms_flow(self):
         registry = MetricsRegistry()
@@ -274,12 +207,6 @@ class TestMetrics:
         assert (
             flat['index_search_seconds_count{backend="exact"}'] == 2
         )
-
-    def test_ivf_build_histogram(self):
-        registry = MetricsRegistry()
-        IVFIndex(_matrix(size=30), num_clusters=3, registry=registry)
-        flat = MetricsRegistry.flatten(registry.snapshot())
-        assert flat['index_build_seconds_count{backend="ivf"}'] == 1
 
     def test_null_registry_default_measures_nothing(self):
         index = ExactIndex(_matrix(size=10))

@@ -1,5 +1,7 @@
 """Tests for vector-index save/load (repro.index persistence)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from repro.index import (
     INDEX_FORMAT,
     BlockedExactIndex,
     ExactIndex,
-    IVFIndex,
     IndexConfig,
     build_index,
     load_index,
@@ -26,7 +27,7 @@ def _build(backend, matrix, **kwargs):
     )
 
 
-BACKENDS = ("exact", "blocked", "ivf")
+BACKENDS = ("exact", "blocked")
 
 
 class TestRoundTrip:
@@ -54,29 +55,20 @@ class TestRoundTrip:
         assert isinstance(loaded, BlockedExactIndex)
         assert loaded.block_rows == 7
 
-    def test_ivf_preserves_clustering_and_nprobe(self, tmp_path):
-        index = _build("ivf", _matrix(size=128), num_clusters=8, nprobe=3)
-        index.save(tmp_path / "index.npz")
-        loaded = load_index(tmp_path / "index.npz")
-        assert isinstance(loaded, IVFIndex)
-        assert loaded.nprobe == 3
-        assert np.array_equal(loaded._centroids, index._centroids)
-        assert np.array_equal(loaded._assignment, index._assignment)
-
-    def test_ivf_load_does_not_recluster(self, tmp_path, monkeypatch):
-        index = _build("ivf", _matrix(size=128), num_clusters=8)
+    def test_load_does_not_rebuild(self, tmp_path, monkeypatch):
+        index = _build("blocked", _matrix(size=128), block_rows=16)
         index.save(tmp_path / "index.npz")
 
         def explode(*args, **kwargs):
-            raise AssertionError("load must not re-run k-means")
+            raise AssertionError("load must not rebuild the index")
 
-        import repro.index.ivf as ivf_module
+        import repro.index.base as base_module
 
-        monkeypatch.setattr(ivf_module, "_kmeans", explode)
+        monkeypatch.setattr(base_module, "build_index", explode)
         loaded = load_index(tmp_path / "index.npz")
         query = _matrix(size=1, dim=8, seed=9)[0]
         ids, _ = loaded.search(query, 5)
-        assert len(ids) == 5
+        assert ids.tolist() == index.search(query, 5)[0].tolist()
 
     def test_describe_names_backend(self):
         index = _build("exact", _matrix())
@@ -113,8 +105,6 @@ class TestLoadValidation:
             load_index(path)
 
     def test_wrong_format_rejected(self, tmp_path):
-        import json
-
         path = tmp_path / "wrong.npz"
         header = json.dumps({"format": "something-else"}).encode()
         np.savez(
@@ -123,4 +113,18 @@ class TestLoadValidation:
             vectors=np.zeros((2, 2)),
         )
         with pytest.raises(ValueError, match=INDEX_FORMAT):
+            load_index(path)
+
+    def test_unknown_backend_rejected(self, tmp_path):
+        # An archive from a build that shipped a third backend.
+        path = tmp_path / "index.npz"
+        header = json.dumps(
+            {"format": INDEX_FORMAT, "backend": "ivf", "metric": "cosine"}
+        ).encode()
+        np.savez(
+            path,
+            header=np.frombuffer(header, dtype=np.uint8),
+            vectors=np.zeros((2, 2)),
+        )
+        with pytest.raises(ValueError, match="unknown index backend 'ivf'"):
             load_index(path)

@@ -1,14 +1,17 @@
 """End-to-end tests for model generations: pipeline publish/load, the
 kill-and-restore serving path, and supervisor-driven publish/rollback."""
 
+import json
+
 import numpy as np
 import pytest
 
+import repro.core.pipeline as pipeline_module
 from repro.core.pipeline import NetworkObserverProfiler, PipelineConfig
-from repro.core.skipgram import SkipGramConfig
+from repro.core.skipgram import SkipGramConfig, SkipGramModel
 from repro.core.streaming import StreamingConfig, StreamingProfiler
 from repro.core.supervisor import RetrainSupervisor, SupervisorConfig
-from repro.index import IndexConfig
+from repro.index import INDEX_FORMAT, IndexConfig
 from repro.netobs.flows import HostnameEvent
 from repro.store import (
     EMBEDDINGS_COMPONENT,
@@ -20,7 +23,7 @@ from repro.store import (
 from repro.utils.timeutils import minutes
 
 
-def _pipeline(labelled, tracker_filter, backend="ivf", seed=0):
+def _pipeline(labelled, tracker_filter, backend="blocked", seed=0):
     return NetworkObserverProfiler(
         labelled,
         config=PipelineConfig(
@@ -31,6 +34,16 @@ def _pipeline(labelled, tracker_filter, backend="ivf", seed=0):
     )
 
 
+def _forbid_rebuild(monkeypatch):
+    """Make training or index construction fail: a restore may only load."""
+
+    def explode(*args, **kwargs):
+        raise AssertionError("restore must load the model, not rebuild it")
+
+    monkeypatch.setattr(pipeline_module, "build_index", explode)
+    monkeypatch.setattr(SkipGramModel, "fit", explode)
+
+
 @pytest.fixture()
 def store(tmp_path):
     return ArtifactStore(tmp_path / "store")
@@ -38,7 +51,7 @@ def store(tmp_path):
 
 @pytest.fixture(scope="module")
 def trained(trace, labelled, tracker_filter):
-    """One IVF-backed pipeline trained on day 0, shared read-only."""
+    """One blocked-index pipeline trained on day 0, shared read-only."""
     pipeline = _pipeline(labelled, tracker_filter)
     pipeline.train_on_day(trace, 0)
     return pipeline
@@ -59,7 +72,8 @@ class TestPublishLoadRoundTrip:
             EMBEDDINGS_COMPONENT, INDEX_COMPONENT, PROFILER_CONFIG_COMPONENT,
         ):
             assert record.has_component(name)
-        assert record.index_meta["backend"] == "ivf"
+        assert record.index_meta["backend"] == "blocked"
+        assert record.index_meta["block_rows"] == 8192
         assert record.extra["vocabulary_size"] == len(trained.embeddings)
 
     def test_fresh_pipeline_serves_identical_profiles(
@@ -75,23 +89,51 @@ class TestPublishLoadRoundTrip:
         assert restored.is_trained
         got = restored.profile_session(session)
         np.testing.assert_allclose(got.categories, expected.categories)
-        assert restored.profiler.index_backend == "ivf"
+        assert restored.profiler.index_backend == "blocked"
 
-    def test_load_does_not_recluster_ivf(
+    def test_load_does_not_rebuild(
         self, trained, store, labelled, tracker_filter, monkeypatch
     ):
-        import repro.index.ivf as ivf_module
-
         trained.publish_generation(store, day=0)
-
-        def explode(*args, **kwargs):
-            raise AssertionError("restore must not re-run k-means")
-
-        monkeypatch.setattr(ivf_module, "_kmeans", explode)
         restored = _pipeline(labelled, tracker_filter)
+        _forbid_rebuild(monkeypatch)
         restored.load_generation(store)
         session = trained.embeddings.vocabulary.hosts[:4]
         assert restored.profile_session(session).categories is not None
+
+    def test_unknown_index_backend_keeps_previous_model(
+        self, trained, store, labelled, tracker_filter
+    ):
+        """A generation from an older build whose index archive names a
+        backend this build does not have is refused, and the pipeline
+        keeps serving the model it already had."""
+        trained.publish_generation(store, day=0)
+        pipeline = _pipeline(labelled, tracker_filter)
+        pipeline.load_generation(store)
+        serving = pipeline.profiler
+
+        def write_index(path):
+            vectors = trained.embeddings.index.vectors
+            header = json.dumps({
+                "format": INDEX_FORMAT, "backend": "ivf", "metric": "cosine",
+                "size": len(vectors), "dim": vectors.shape[1],
+            }).encode()
+            np.savez(
+                path,
+                header=np.frombuffer(header, dtype=np.uint8),
+                vectors=vectors,
+            )
+
+        store.publish(
+            {
+                EMBEDDINGS_COMPONENT: trained.embeddings.save,
+                INDEX_COMPONENT: write_index,
+            },
+            index_meta={"backend": "ivf"},
+        )
+        with pytest.raises(ValueError, match="unknown index backend 'ivf'"):
+            pipeline.load_generation(store)
+        assert pipeline.profiler is serving
 
     def test_corrupt_component_refuses_to_load(
         self, trained, store, labelled, tracker_filter
@@ -127,7 +169,7 @@ class TestKillAndRestore:
         """The acceptance scenario: kill a serving observer, restart from
         checkpoint + store.latest(), and the resumed stream must emit on
         the original report grid exactly what an uninterrupted run emits
-        — without re-training or re-clustering."""
+        — without re-training or rebuilding the index."""
         hosts = trained.embeddings.vocabulary.hosts[:6]
         events = []
         t = 0.0
@@ -152,19 +194,15 @@ class TestKillAndRestore:
         del serving   # the crash
 
         # The restarted process rebuilds its world and warm-restarts in
-        # one call; k-means is forbidden to prove the index was loaded.
-        import repro.index.ivf as ivf_module
-
-        def explode(*args, **kwargs):
-            raise AssertionError("warm restart must not re-cluster")
-
-        monkeypatch.setattr(ivf_module, "_kmeans", explode)
+        # one call; training and index builds are forbidden to prove the
+        # model was loaded.
         fresh = _pipeline(labelled, tracker_filter)
+        _forbid_rebuild(monkeypatch)
         resumed = StreamingProfiler.restore(
             checkpoint, store=store, pipeline=fresh
         )
         assert resumed.has_model
-        assert resumed.index_backend == "ivf"
+        assert resumed.index_backend == "blocked"
 
         tail = resumed.ingest_many(events[cut:])
         assert len(tail) == len(expected_tail)

@@ -41,10 +41,9 @@ class TestParser:
             ["train", "--metrics-out", "m.json", "--trace-out", "t.json"],
             ["observe", "c.pcap", "--metrics-out", "m.prom"],
             ["metrics-dump", "m.json", "--grep", "stream_"],
-            ["neighbours", "v.npz", "a.com", "--index-backend", "ivf",
-             "--index-nprobe", "4"],
+            ["neighbours", "v.npz", "a.com", "--index-backend", "blocked"],
             ["experiment", "--index-backend", "blocked"],
-            ["stream", "c.pcap", "--train", "--index-backend", "ivf"],
+            ["stream", "c.pcap", "--train", "--index-backend", "blocked"],
             ["train", "--store", "models"],
             ["stream", "c.pcap", "--store", "models"],
             ["experiment", "--store", "models"],
@@ -85,6 +84,14 @@ class TestParser:
                 ["neighbours", "v.npz", "a.com",
                  "--index-backend", "faiss"]
             )
+
+    def test_removed_ivf_backend_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["stream", "c.pcap", "--index-backend", "ivf"]
+            )
+        assert exc.value.code == 2
+        assert "invalid choice: 'ivf'" in capsys.readouterr().err
 
     def test_unknown_drift_injection_rejected(self):
         with pytest.raises(SystemExit):
@@ -140,7 +147,7 @@ class TestCommands:
 
         host = HostnameEmbeddings.load(out_path).vocabulary.host_of(0)
         outputs = {}
-        for backend in ("exact", "blocked", "ivf"):
+        for backend in ("exact", "blocked"):
             capsys.readouterr()
             assert main(
                 ["neighbours", str(out_path), host, "-n", "3",

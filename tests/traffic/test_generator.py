@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.traffic.generator import DiurnalModel, TraceGenerator
+from repro.traffic.generator import DiurnalModel, StreamingTraceGenerator
 from repro.utils.timeutils import DAY_SECONDS
 
 
@@ -48,24 +48,24 @@ class TestTrace:
 
 class TestGenerator:
     def test_reproducible_per_day(self, web, population):
-        gen = TraceGenerator(web, population, seed=77)
+        gen = StreamingTraceGenerator(web, population, seed=77)
         assert gen.day_requests(1) == gen.day_requests(1)
 
     def test_days_independent_of_generation_order(self, web, population):
-        gen_a = TraceGenerator(web, population, seed=77)
+        gen_a = StreamingTraceGenerator(web, population, seed=77)
         day1_first = gen_a.day_requests(1)
-        gen_b = TraceGenerator(web, population, seed=77)
+        gen_b = StreamingTraceGenerator(web, population, seed=77)
         gen_b.day_requests(0)  # generate day 0 first
         assert gen_b.day_requests(1) == day1_first
 
     def test_different_seeds_differ(self, web, population):
-        a = TraceGenerator(web, population, seed=1).day_requests(0)
-        b = TraceGenerator(web, population, seed=2).day_requests(0)
+        a = StreamingTraceGenerator(web, population, seed=1).day_requests(0)
+        b = StreamingTraceGenerator(web, population, seed=2).day_requests(0)
         assert a != b
 
     def test_start_day_offset(self, web, population):
-        gen = TraceGenerator(web, population, seed=77)
-        shifted = gen.generate(1, start_day=3)
+        gen = StreamingTraceGenerator(web, population, seed=77)
+        shifted = gen.materialize(1, start_day=3)
         assert shifted.start_day == 3
         assert shifted.day(3)
         with pytest.raises(ValueError, match=r"range \[3, 3\]"):
@@ -74,19 +74,19 @@ class TestGenerator:
     def test_day_below_range_no_wraparound(self, web, population):
         """Regression: day(start_day - 1) used to wrap around via
         Python's negative indexing and silently return the *last* day."""
-        gen = TraceGenerator(web, population, seed=77)
-        shifted = gen.generate(2, start_day=3)
+        gen = StreamingTraceGenerator(web, population, seed=77)
+        shifted = gen.materialize(2, start_day=3)
         with pytest.raises(ValueError, match=r"day 2 outside trace range"):
             shifted.day(2)
         with pytest.raises(ValueError, match=r"range \[3, 4\]"):
             shifted.day(-1)
 
     def test_negative_day_rejected(self, web, population):
-        gen = TraceGenerator(web, population, seed=77)
+        gen = StreamingTraceGenerator(web, population, seed=77)
         with pytest.raises(ValueError):
             gen.day_requests(-1)
         with pytest.raises(ValueError):
-            gen.generate(0)
+            gen.materialize(0)
 
 
 class TestDiurnalModel:
