@@ -25,8 +25,8 @@ Exposes the reproduction's main entry points without writing any code:
                      scrape and/or offline store/telemetry files).
 
 ``stream`` and ``experiment`` accept ``--admin-port`` to serve the live
-operations plane (``/metrics`` ``/healthz`` ``/readyz`` ``/varz``
-``/generations`` ``/drift/latest``); ``stream --train`` adds
+operations plane (every route is in the route table of the
+:mod:`repro.obs.server` docstring); ``stream --train`` adds
 ``--drift-gate`` / ``--drift-inject`` for the generation drift monitor
 (see DESIGN.md, "Live operations plane").
 
@@ -58,6 +58,7 @@ alert end to end.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -200,15 +201,18 @@ class _Introspection:
             print(f"flight recorder dumped to {self.flight_path}")
 
 
-def _write_telemetry(args: argparse.Namespace, registry, tracer) -> None:
-    """Honour ``--metrics-out`` / ``--trace-out`` if the command has them."""
+def _write_telemetry(args, registry, tracer, flusher=None) -> None:
+    """Honour ``--metrics-out`` / ``--trace-out`` if the command has them
+    (a running ``flusher``'s final flush is the ``--metrics-out`` write)."""
     metrics_out = getattr(args, "metrics_out", None)
     if metrics_out:
         path = Path(metrics_out)
-        if path.suffix == ".json":
-            path.write_text(registry.to_json(indent=2) + "\n")
+        if flusher is not None:
+            flusher.stop()
         else:
-            path.write_text(registry.to_prometheus())
+            from repro.obs.flush import write_metrics
+
+            write_metrics(registry, path)
         print(f"metrics written to {path}")
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
@@ -219,11 +223,51 @@ def _write_telemetry(args: argparse.Namespace, registry, tracer) -> None:
         )
 
 
+def _start_fleet(args, pipeline=None, admin=None, **coordinator_kwargs):
+    """Start the ``--workers`` shard fleet; returns the coordinator and an
+    ExitStack whose close terminates it and deletes its temporary dirs.
+
+    A trained ``pipeline`` is exported once as a mappable directory every
+    worker binds read-only (one copy of the model pages for the whole
+    fleet); without ``--shard-dir`` the per-shard checkpoints go to a
+    private temporary directory.
+    """
+    import tempfile
+
+    from repro.shard import ShardCoordinator
+
+    with contextlib.ExitStack() as cleanup:
+        model_dir = None
+        if pipeline is not None and getattr(pipeline, "is_trained", False):
+            model_tmp = cleanup.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-shard-model-")
+            )
+            model_dir = str(pipeline.export_model_dir(model_tmp))
+        shard_dir = args.shard_dir
+        if shard_dir is None:
+            shard_dir = cleanup.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-shard-ckpt-")
+            )
+        coordinator = ShardCoordinator(
+            args.workers,
+            checkpoint_dir=shard_dir,
+            model_dir=model_dir,
+            salt=args.shard_salt,
+            **coordinator_kwargs,
+        )
+        cleanup.callback(coordinator.terminate)
+        if admin is not None:
+            admin.attach(coordinator=coordinator)
+        coordinator.start()
+        return coordinator, cleanup.pop_all()
+
+
 def _run_sharded_stream(
     events,
     args: argparse.Namespace,
     *,
     labelled,
+    intro,
     tracker_filter=None,
     pipeline=None,
     stream_config=None,
@@ -231,65 +275,43 @@ def _run_sharded_stream(
     admin=None,
     batch_size=4096,
     tracer=None,
-    intro=None,
 ):
     """Fan event ingest across ``--workers`` shard processes.
 
-    The parent never profiles: it exports the trained model once (as a
-    mappable directory every worker binds read-only — one copy of the
-    model pages for the whole fleet), hash-partitions the events by
-    client, and merges the per-shard emissions and metrics at the end.
-    Prints a fleet summary and returns the
-    :class:`~repro.shard.FleetResult`.
+    The parent never profiles: it starts the fleet (:func:`_start_fleet`),
+    hash-partitions the events by client, and merges the per-shard
+    emissions and metrics at the end.  Prints a fleet summary and
+    returns the :class:`~repro.shard.FleetResult`.
 
-    With an ``intro`` plane the fleet is live-observable: workers ship
+    The ``intro`` plane makes the fleet live-observable: workers ship
     telemetry frames the coordinator merges (``/metrics?scope=fleet``,
     enriched ``/shards``), head-sampled traces cross the worker hop
     (``/trace/<id>``), lifecycle events land in the flight recorder, and
     the per-shard checkpoint dir also collects worker flight dumps.
     """
-    import tempfile
-
-    from repro.shard import ShardCoordinator
-
     batch_size = getattr(args, "shard_batch_events", None) or batch_size
     if batch_size <= 0:
         raise SystemExit("--shard-batch-events must be positive")
-    model_tmp = model_dir = None
-    if pipeline is not None and getattr(pipeline, "is_trained", False):
-        model_tmp = tempfile.TemporaryDirectory(
-            prefix="repro-shard-model-"
-        )
-        model_dir = str(pipeline.export_model_dir(model_tmp.name))
-    shard_tmp = None
-    shard_dir = getattr(args, "shard_dir", None)
-    if shard_dir is None:
-        shard_tmp = tempfile.TemporaryDirectory(prefix="repro-shard-ckpt-")
-        shard_dir = shard_tmp.name
-    coordinator = ShardCoordinator(
-        args.workers,
-        checkpoint_dir=shard_dir,
-        model_dir=model_dir,
+    coordinator, fleet_scope = _start_fleet(
+        args,
+        pipeline=pipeline,
+        admin=admin,
         labelled=labelled,
         stream_config=stream_config or {},
         tracker_filter=tracker_filter,
-        salt=getattr(args, "shard_salt", ""),
         registry=registry,
         tracer=tracer,
-        trace_sampler=intro.sampler if intro is not None else None,
-        flight=intro.flight if intro is not None else None,
-        worker_flight=bool(intro is not None and intro.flight is not None),
+        trace_sampler=intro.sampler,
+        flight=intro.flight,
+        worker_flight=intro.flight is not None,
     )
-    if admin is not None:
-        admin.attach(coordinator=coordinator)
-    coordinator.start()
     chaos_delay = getattr(args, "chaos_dispatch_delay", 0.0) or 0.0
     if chaos_delay:
         print(
             f"chaos: sleeping {chaos_delay:g}s between dispatch batches "
             "(fleet probe rehearsal)"
         )
-    try:
+    with fleet_scope:
         for start in range(0, len(events), batch_size):
             coordinator.dispatch(events[start:start + batch_size])
             coordinator.poll()
@@ -298,11 +320,6 @@ def _run_sharded_stream(
 
                 _time.sleep(chaos_delay)
         result = coordinator.finish()
-    finally:
-        coordinator.terminate()
-        for tmp in (model_tmp, shard_tmp):
-            if tmp is not None:
-                tmp.cleanup()
     per_shard = ", ".join(
         f"#{s['shard_id']}: {s['events_seen']}" for s in result.per_shard
     )
@@ -599,8 +616,7 @@ def cmd_worldgen(args: argparse.Namespace) -> int:
         writer = ShardedTraceWriter(
             args.shards, events_per_shard=args.events_per_shard
         )
-    observer = stream = synthesizer = coordinator = None
-    shard_tmp = None
+    observer = stream = synthesizer = coordinator = fleet_scope = None
     observed_events = profile_emissions = observe_capped = 0
     if args.observe:
         from repro.core.streaming import StreamingConfig, StreamingProfiler
@@ -624,23 +640,7 @@ def cmd_worldgen(args: argparse.Namespace) -> int:
         if args.workers > 1:
             # Synthesis and observation stay in the parent (both are
             # order-dependent); only stream ingest fans out by client.
-            import tempfile
-
-            from repro.shard import ShardCoordinator
-
-            shard_dir = args.shard_dir
-            if shard_dir is None:
-                shard_tmp = tempfile.TemporaryDirectory(
-                    prefix="repro-shard-ckpt-"
-                )
-                shard_dir = shard_tmp.name
-            coordinator = ShardCoordinator(
-                args.workers,
-                checkpoint_dir=shard_dir,
-                salt=args.shard_salt,
-                registry=registry,
-            )
-            coordinator.start()
+            coordinator, fleet_scope = _start_fleet(args, registry=registry)
         else:
             stream = StreamingProfiler(
                 StreamingConfig(), registry=registry, tracer=tracer
@@ -695,12 +695,8 @@ def cmd_worldgen(args: argparse.Namespace) -> int:
             pass
     fleet = None
     if coordinator is not None:
-        try:
+        with fleet_scope:
             fleet = coordinator.finish()
-        finally:
-            coordinator.terminate()
-            if shard_tmp is not None:
-                shard_tmp.cleanup()
         profile_emissions = fleet.profiles_emitted
     if writer is not None:
         manifest = writer.close()
@@ -814,16 +810,11 @@ def cmd_observe(args: argparse.Namespace) -> int:
     from repro.netobs.pcap import read_pcap
 
     registry, tracer = _telemetry(args)
-    sampler = None
-    if getattr(args, "trace_sample_rate", 0.0):
-        from repro.obs import HeadSampler
-
-        sampler = HeadSampler(args.trace_sample_rate)
     observer = NetworkObserver(
         ObserverConfig(vantage=args.vantage, max_flows=args.max_flows),
         registry=registry,
         tracer=tracer,
-        trace_sampler=sampler,
+        trace_sampler=_Introspection(args, registry, tracer).sampler,
     )
     with tracer.span("observe.pcap", pcap=str(args.pcap)):
         for packet in read_pcap(args.pcap):
@@ -1183,10 +1174,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
         print(f"lingering {args.linger:g}s (admin plane stays up)...")
         _time.sleep(args.linger)
-    if flusher is not None:
-        flusher.stop()
     intro.finish()
-    _write_telemetry(args, registry, tracer)
+    _write_telemetry(args, registry, tracer, flusher=flusher)
     if admin is not None:
         admin.stop()
     return 0
@@ -1405,9 +1394,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_admin_args(p):
         p.add_argument(
             "--admin-port", type=int, default=None, metavar="PORT",
-            help="serve the admin plane on this loopback port "
-            "(/metrics /healthz /readyz /varz /generations /drift/latest; "
-            "0 = ephemeral)",
+            help="serve the admin plane on this loopback port (routes: "
+            "the table in the repro.obs.server docstring; 0 = ephemeral)",
         )
         p.add_argument(
             "--admin-host", default="127.0.0.1", metavar="HOST",

@@ -23,7 +23,7 @@ On top of the aggregate layer sits the deep introspection plane:
   dumped on crash, SIGTERM or demand, collected by ``repro doctor``.
 """
 
-from repro.obs.doctor import collect_bundle, read_bundle
+from repro.obs.doctor import collect_bundle
 from repro.obs.drift import (
     DriftConfig,
     DriftMonitor,
@@ -56,7 +56,6 @@ from repro.obs.metrics import (
     NULL_REGISTRY,
     NullRegistry,
     label_snapshot,
-    merge_snapshots,
     snapshot_to_prometheus,
     validate_buckets,
 )
@@ -117,9 +116,7 @@ __all__ = [
     "get_logger",
     "get_run_id",
     "label_snapshot",
-    "merge_snapshots",
     "new_run_id",
-    "read_bundle",
     "set_level",
     "set_run_id",
     "set_stream",

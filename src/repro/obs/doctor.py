@@ -37,10 +37,9 @@ the manifest's ``errors`` map instead of failing; a live process with
 no shard coordinator attached records the fleet routes as ``absent``
 the same way.
 
-Manifest format: ``repro-doctor-v3``.  v3 adds the fleet captures
-(``shards.json``, ``metrics_fleet.prom``, ``traces.json``, ``shards/``);
-everything a v1 or v2 bundle contained keeps its filename and shape, so
-older bundles remain readable (see ``read_bundle``).
+Offline store captures reuse the admin server's store readers, so
+``generations.json`` has one shape however it was collected.  Manifest
+format: ``repro-doctor-v3`` (plain JSON; nothing here reads it back).
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ import urllib.request
 from pathlib import Path
 
 from repro.obs.logging import get_logger
+from repro.obs.server import latest_drift_report, store_generations
 from repro.utils.serialization import atomic_write_json, atomic_write_text
 
 log = get_logger("obs.doctor")
@@ -73,21 +73,11 @@ _LIVE_ROUTES = (
     ("/trace", "traces.json"),
 )
 
-#: Bundle manifest formats :func:`read_bundle` accepts.
-SUPPORTED_BUNDLE_FORMATS = (
-    "repro-doctor-v1", "repro-doctor-v2", "repro-doctor-v3",
-)
-
 #: Live-only captures whose absence an offline bundle must explain.
-_LIVE_ONLY = {
-    "/slo": "slo.json",
-    "/alerts": "alerts.json",
-    "/flight": "flight.json",
-    "/profile": "profile.collapsed",
-    "/shards": "shards.json",
-    "/metrics?scope=fleet": "metrics_fleet.prom",
-    "/trace": "traces.json",
-}
+_LIVE_ONLY = (
+    "/slo", "/alerts", "/flight", "/profile", "/shards",
+    "/metrics?scope=fleet", "/trace",
+)
 
 
 def _fetch(url: str, timeout: float) -> tuple[int | None, str]:
@@ -189,39 +179,22 @@ def collect_bundle(
                     body if status is None else f"HTTP {status}"
                 )
     else:
-        for route, filename in _LIVE_ONLY.items():
-            if filename not in collected:
-                errors[route] = "not collected: no live admin endpoint"
+        for route in _LIVE_ONLY:
+            errors[route] = "not collected: no live admin endpoint"
 
     if store is not None:
         try:
             if "generations.json" not in collected:
-                serving = store.latest_id()
-                atomic_write_json(out / "generations.json", {
-                    "serving": serving,
-                    "generations": [
-                        {
-                            "generation_id": record.generation_id,
-                            "created_from_day": record.created_from_day,
-                            "created_at": record.created_at,
-                            "components": sorted(record.components),
-                            "serving": record.generation_id == serving,
-                        }
-                        for record in store.list_generations()
-                    ],
-                })
+                atomic_write_json(
+                    out / "generations.json", store_generations(store)
+                )
                 collected["generations.json"] = str(store.root)
             if "drift.json" not in collected:
-                from repro.store import DRIFT_REPORT_COMPONENT
-
-                for record in reversed(store.list_generations()):
-                    if record.has_component(DRIFT_REPORT_COMPONENT):
-                        shutil.copyfile(
-                            record.component_path(DRIFT_REPORT_COMPONENT),
-                            out / "drift.json",
-                        )
-                        collected["drift.json"] = record.generation_id
-                        break
+                found = latest_drift_report(store)
+                if found is not None:
+                    generation_id, report_path = found
+                    shutil.copyfile(report_path, out / "drift.json")
+                    collected["drift.json"] = generation_id
         except Exception as error:
             errors["store"] = f"{type(error).__name__}: {error}"
 
@@ -268,27 +241,6 @@ def collect_bundle(
         "doctor bundle written",
         out=str(out), files=sorted(collected), errors=sorted(errors),
     )
-    return manifest
-
-
-def read_bundle(bundle_dir: str | Path) -> dict:
-    """Load a doctor bundle's manifest, accepting every supported format.
-
-    v1 bundles (pre-introspection-plane) have no ``slo.json`` /
-    ``alerts.json`` / ``flight.json`` / ``profile.collapsed`` entries,
-    and v2 bundles (pre-fleet-plane) none of the ``shards.json`` /
-    ``metrics_fleet.prom`` / ``traces.json`` / ``shards/`` captures;
-    readers treat those exactly like a newer offline bundle that noted
-    their absence.  Unknown formats raise ``ValueError`` naming the
-    supported range.
-    """
-    manifest = json.loads((Path(bundle_dir) / "bundle.json").read_text())
-    fmt = manifest.get("format")
-    if fmt not in SUPPORTED_BUNDLE_FORMATS:
-        raise ValueError(
-            f"unsupported bundle format {fmt!r}; this build reads "
-            + ", ".join(SUPPORTED_BUNDLE_FORMATS)
-        )
     return manifest
 
 

@@ -7,7 +7,8 @@ the same atomic ``.tmp`` + ``os.replace`` discipline as every other
 artifact in this repo, so whatever kills the process, the file on disk
 is a complete, recent snapshot — never a torn one.
 
-Format follows the CLI convention: a ``.json`` destination gets the
+:func:`write_metrics` is the one ``--metrics-out`` writer, for the flusher
+and the CLI's exit write alike: a ``.json`` destination gets the
 ``repro-metrics-v1`` JSON snapshot, anything else Prometheus text.
 """
 
@@ -21,6 +22,17 @@ from repro.obs.metrics import MetricsRegistry
 from repro.utils.serialization import atomic_write_text
 
 log = get_logger("obs.flush")
+
+
+def write_metrics(registry: MetricsRegistry, path: str | Path) -> None:
+    """Atomically write ``registry`` to ``path``: the JSON snapshot for a
+    ``.json`` suffix, the Prometheus text exposition otherwise."""
+    path = Path(path)
+    if path.suffix == ".json":
+        payload = registry.to_json(indent=2) + "\n"
+    else:
+        payload = registry.to_prometheus()
+    atomic_write_text(path, payload)
 
 
 class MetricsFlusher:
@@ -46,11 +58,7 @@ class MetricsFlusher:
 
     def flush_now(self) -> None:
         """Write one snapshot immediately (atomic replace)."""
-        if self.path.suffix == ".json":
-            payload = self.registry.to_json(indent=2)
-        else:
-            payload = self.registry.to_prometheus()
-        atomic_write_text(self.path, payload)
+        write_metrics(self.registry, self.path)
         self._flushes_total.inc()
 
     def _run(self) -> None:

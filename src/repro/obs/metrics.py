@@ -15,10 +15,13 @@ Design:
   child, so ``registry.counter("x").inc()`` just works;
 * every mutation is lock-protected — counters incremented from many
   threads never lose updates;
-* export is dual: Prometheus text exposition (``to_prometheus``) for
-  scrapers and a JSON snapshot (``snapshot`` / ``to_json``) for files and
-  tests, with :meth:`MetricsRegistry.diff` turning two snapshots into the
-  flat delta dict assertions want;
+* export goes through one JSON snapshot format, ``repro-metrics-v1``
+  (``snapshot`` / ``to_json``), for files and tests, with
+  :meth:`MetricsRegistry.diff` turning two snapshots into the flat delta
+  dict assertions want; every text exposition for scrapers — a live
+  registry's or a merged fleet snapshot's, Prometheus 0.0.4 or
+  OpenMetrics — is rendered from a snapshot by
+  :func:`snapshot_to_prometheus`;
 * :class:`NullRegistry` is a drop-in no-op so hot paths pay (almost)
   nothing when telemetry is off — instrumented code can also check the
   ``null`` attribute before taking timestamps.
@@ -158,6 +161,15 @@ def _label_suffix(labels: dict[str, str]) -> str:
         f'{k}="{_escape_label(v)}"' for k, v in sorted(labels.items())
     )
     return "{" + inner + "}"
+
+
+def _check_format(snapshot: dict, action: str) -> None:
+    """Refuse to ``action`` a dict that is not a ``repro-metrics-v1``
+    snapshot (a :class:`MetricError` naming the format it carries)."""
+    if snapshot.get("format") != "repro-metrics-v1":
+        raise MetricError(
+            f"cannot {action} snapshot format {snapshot.get('format')!r}"
+        )
 
 
 # -- children ---------------------------------------------------------------
@@ -553,7 +565,7 @@ class MetricsRegistry:
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""
-        return self._exposition(exemplars=False)
+        return snapshot_to_prometheus(self.snapshot())
 
     def to_openmetrics(self) -> str:
         """OpenMetrics-style exposition with histogram bucket exemplars.
@@ -564,44 +576,10 @@ class MetricsRegistry:
         that reject exemplar syntax should keep using ``/metrics`` in its
         default (0.0.4) shape.
         """
-        return self._exposition(exemplars=True) + "# EOF\n"
-
-    def _exposition(self, exemplars: bool) -> str:
-        lines: list[str] = []
-        for family in self.families():
-            if family.help:
-                lines.append(
-                    f"# HELP {family.name} {_escape_help(family.help)}"
-                )
-            lines.append(f"# TYPE {family.name} {family.kind}")
-            for labels, child in family.samples():
-                suffix = _label_suffix(labels)
-                if family.kind == "histogram":
-                    retained = child.exemplars() if exemplars else {}
-                    for bound, count in child.cumulative_buckets():
-                        bucket_labels = dict(labels)
-                        bucket_labels["le"] = _format_bound(bound)
-                        line = (
-                            f"{family.name}_bucket"
-                            f"{_label_suffix(bucket_labels)} {count}"
-                        )
-                        if bound in retained:
-                            trace_id, value, timestamp = retained[bound]
-                            line += (
-                                f' # {{trace_id="{_escape_label(trace_id)}"}}'
-                                f" {_format_value(value)} {timestamp:.6f}"
-                            )
-                        lines.append(line)
-                    lines.append(
-                        f"{family.name}_sum{suffix} "
-                        f"{_format_value(child.sum)}"
-                    )
-                    lines.append(f"{family.name}_count{suffix} {child.count}")
-                else:
-                    lines.append(
-                        f"{family.name}{suffix} {_format_value(child.value)}"
-                    )
-        return "\n".join(lines) + "\n"
+        return (
+            snapshot_to_prometheus(self.snapshot(), exemplars=True)
+            + "# EOF\n"
+        )
 
     # -- snapshot algebra (for tests) ----------------------------------------
 
@@ -662,11 +640,7 @@ class MetricsRegistry:
         """
         merged: dict[str, dict] = {}
         for snapshot in snapshots:
-            if snapshot.get("format") != "repro-metrics-v1":
-                raise MetricError(
-                    f"cannot merge snapshot format "
-                    f"{snapshot.get('format')!r}"
-                )
+            _check_format(snapshot, "merge")
             for family in snapshot.get("metrics", []):
                 name = family["name"]
                 home = merged.setdefault(name, {
@@ -835,11 +809,6 @@ class NullRegistry(MetricsRegistry):
 NULL_REGISTRY = NullRegistry()
 
 
-def merge_snapshots(snapshots: list[dict]) -> dict:
-    """Module-level alias of :meth:`MetricsRegistry.merge_snapshots`."""
-    return MetricsRegistry.merge_snapshots(snapshots)
-
-
 # -- snapshot relabelling & exposition ---------------------------------------
 
 
@@ -852,10 +821,7 @@ def label_snapshot(snapshot: dict, **labels: str) -> dict:
     Stamping a label a series already carries is a :class:`MetricError`
     (it would silently overwrite a real dimension).
     """
-    if snapshot.get("format") != "repro-metrics-v1":
-        raise MetricError(
-            f"cannot relabel snapshot format {snapshot.get('format')!r}"
-        )
+    _check_format(snapshot, "relabel")
     for name in labels:
         if not _LABEL_RE.match(name):
             raise MetricError(f"invalid label name {name!r}")
@@ -888,15 +854,14 @@ def _parse_bound(spelling: str) -> float:
 def snapshot_to_prometheus(snapshot: dict, exemplars: bool = False) -> str:
     """Render a :meth:`MetricsRegistry.snapshot` dict as text exposition.
 
-    The live registries render themselves (:meth:`to_prometheus`); this
-    renders *merged* snapshots — the fleet view assembled from per-worker
-    snapshots that exist only as dicts on the coordinator.  Output
-    matches the live exposition shape sample for sample.
+    The one renderer: a live registry's :meth:`~MetricsRegistry.to_prometheus`
+    and :meth:`~MetricsRegistry.to_openmetrics` render their own
+    snapshot through it, and the fleet view renders the coordinator's
+    *merged* snapshot (per-worker snapshots that exist only as dicts)
+    the same way.  ``exemplars`` appends each retained bucket exemplar
+    in OpenMetrics syntax; the 0.0.4 exposition leaves it off.
     """
-    if snapshot.get("format") != "repro-metrics-v1":
-        raise MetricError(
-            f"cannot render snapshot format {snapshot.get('format')!r}"
-        )
+    _check_format(snapshot, "render")
     lines: list[str] = []
     for family in snapshot.get("metrics", []):
         name = family["name"]

@@ -9,9 +9,12 @@ loopback port, stdlib only:
 =================  =========================================================
 route              serves
 =================  =========================================================
-``/metrics``       Prometheus text exposition of the live registry;
-                   ``?scope=fleet`` merges the shard workers' latest
-                   telemetry snapshots (``shard``-labelled) into it
+``/metrics``       text exposition of the live registry;
+                   ``?scope=fleet`` renders the coordinator's merged
+                   snapshot instead (the shard workers' latest telemetry,
+                   ``shard``-labelled); both scopes honour ``?format=``:
+                   ``prometheus`` (0.0.4, the default, no exemplars) or
+                   ``openmetrics`` (bucket exemplars, ``# EOF``)
 ``/healthz``       process liveness (200 as long as the thread answers)
 ``/readyz``        200 iff a model generation is loaded **and** the
                    supervisor is not mid-validation; 503 otherwise, with
@@ -36,11 +39,13 @@ route              serves
                    adopted worker-side spans reassembled by parent ids
 =================  =========================================================
 
-Query parameters are validated before any work happens: unknown
-parameters, non-numeric numbers, out-of-range values, and oversized
-query strings are client errors (4xx) — a garbage request can never 500
-or tie up the process (``/profile`` bursts are bounded to
-``MAX_PROFILE_SECONDS``).
+In code the table is :data:`_ROUTES`: each route names the query
+parameters it accepts and one handler, and :meth:`AdminServer._handle`
+dispatches every request through it.  Query parameters are validated
+before any work happens: unknown parameters, non-numeric numbers,
+out-of-range values, and oversized query strings are client errors
+(4xx) — a garbage request can never 500 or tie up the process
+(``/profile`` bursts are bounded to ``MAX_PROFILE_SECONDS``).
 
 Readiness semantics (also documented in README "Operations"): the gate
 window is *validation*, not degradation.  While the supervisor runs its
@@ -62,7 +67,9 @@ from __future__ import annotations
 import json
 import threading
 import time
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable
 from urllib.parse import parse_qsl
 
 from repro.obs.logging import get_logger, get_run_id
@@ -141,9 +148,11 @@ class AdminServer:
     Construct with the registry, :meth:`attach` whatever operational
     state exists (stream, store, supervisor, pipeline), then
     :meth:`start`.  ``port=0`` binds an ephemeral port (read it back
-    from :attr:`port` after start); the route handlers are also plain
-    methods (:meth:`ready`, :meth:`varz`, ...) so tests and the
-    ``doctor`` bundle can ask the same questions without HTTP.
+    from :attr:`port` after start); the routes' answers are also plain
+    methods (:meth:`ready`, :meth:`varz`, ...) so tests can ask the same
+    questions without HTTP, and the store answers are module functions
+    (:func:`store_generations`, :func:`latest_drift_report`) that the
+    offline ``doctor`` bundle shares.
     """
 
     def __init__(
@@ -375,23 +384,7 @@ class AdminServer:
     def generations(self) -> dict | None:
         """The ``/generations`` JSON; None without an attached store."""
         store = _resolve(self._store)
-        if store is None:
-            return None
-        serving = store.latest_id()
-        return {
-            "serving": serving,
-            "generations": [
-                {
-                    "generation_id": record.generation_id,
-                    "created_from_day": record.created_from_day,
-                    "created_at": record.created_at,
-                    "components": sorted(record.components),
-                    "index_backend": record.index_meta.get("backend"),
-                    "serving": record.generation_id == serving,
-                }
-                for record in store.list_generations()
-            ],
-        }
+        return None if store is None else store_generations(store)
 
     def drift_latest(self) -> dict | None:
         """Most recent drift report: live supervisor first, then store."""
@@ -401,17 +394,10 @@ class AdminServer:
             if report is not None:
                 return report.to_dict()
         store = _resolve(self._store)
-        if store is not None:
-            from repro.store import DRIFT_REPORT_COMPONENT
-
-            for record in reversed(store.list_generations()):
-                if record.has_component(DRIFT_REPORT_COMPONENT):
-                    return json.loads(
-                        record.component_path(
-                            DRIFT_REPORT_COMPONENT
-                        ).read_text()
-                    )
-        return None
+        found = None if store is None else latest_drift_report(store)
+        if found is None:
+            return None
+        return json.loads(found[1].read_text())
 
     def slo_report(self) -> dict | None:
         """The ``/slo`` JSON; None without an attached engine."""
@@ -457,18 +443,6 @@ class AdminServer:
         if coordinator is None:
             return None
         return coordinator.status()
-
-    def fleet_exposition(self) -> str | None:
-        """``/metrics?scope=fleet``: the coordinator's merged snapshot
-        (its own registry + every shard's latest telemetry frame,
-        ``shard``-labelled) rendered as Prometheus text.  None without
-        an attached coordinator."""
-        coordinator = _resolve(self._coordinator)
-        if coordinator is None:
-            return None
-        return snapshot_to_prometheus(
-            coordinator.fleet_metrics_snapshot(), exemplars=True
-        )
 
     def traces_report(self, limit: int = 100) -> dict:
         """The ``/trace`` index: recently completed traces, newest first."""
@@ -529,9 +503,41 @@ class AdminServer:
             "roots": roots,
         }
 
-    def _serve_profile(self, query: str) -> tuple[int, str, bytes]:
+    # -- route handlers ------------------------------------------------------
+
+    def _serve_metrics(self, params: dict[str, str]) -> tuple[int, str, bytes]:
+        """``/metrics``: ``scope`` picks the snapshot, ``format`` how it
+        is rendered."""
+        scope = params.get("scope", "process")
+        if scope not in ("process", "fleet"):
+            raise _ParamError(
+                f"scope must be process or fleet, got {scope!r}"
+            )
+        fmt = params.get("format", "prometheus")
+        if fmt not in ("prometheus", "openmetrics"):
+            raise _ParamError(
+                f"format must be prometheus or openmetrics, got {fmt!r}"
+            )
+        if scope == "fleet":
+            coordinator = _resolve(self._coordinator)
+            if coordinator is None:
+                return _not_found("no shard coordinator attached")
+            snapshot = coordinator.fleet_metrics_snapshot()
+        else:
+            snapshot = self.registry.snapshot()
+        if fmt == "openmetrics":
+            text = snapshot_to_prometheus(snapshot, exemplars=True)
+            return 200, OPENMETRICS_CONTENT_TYPE, (text + "# EOF\n").encode()
+        return 200, PROMETHEUS_CONTENT_TYPE, (
+            snapshot_to_prometheus(snapshot).encode()
+        )
+
+    def _serve_ready(self) -> tuple[int, str, bytes]:
+        ready, body = self.ready()
+        return (200 if ready else 503), "application/json", _json_bytes(body)
+
+    def _serve_profile(self, params: dict[str, str]) -> tuple[int, str, bytes]:
         """The ``/profile`` route: continuous report or bounded burst."""
-        params = _parse_query(query, ("seconds", "hz", "format"))
         fmt = params.get("format", "report")
         if fmt not in ("report", "collapsed", "speedscope"):
             raise _ParamError(
@@ -561,166 +567,34 @@ class AdminServer:
             return 200, "application/json", (
                 json.dumps(profiler.to_speedscope()) + "\n"
             ).encode()
-        return 200, "application/json", _json_bytes(profiler.report())
+        return _json_ok(profiler.report())
+
+    def _serve_trace(self, trace_id: str) -> tuple[int, str, bytes]:
+        """``/trace`` (the index) and ``/trace/<id>`` (one tree)."""
+        if not trace_id:
+            return _json_ok(self.traces_report())
+        if "/" in trace_id:
+            raise _ParamError(f"malformed trace id {trace_id!r}")
+        body = self.trace_report(trace_id)
+        if body is None:
+            return _not_found(f"no spans recorded for trace {trace_id!r}")
+        return _json_ok(body)
 
     # -- request dispatch ----------------------------------------------------
 
     def _handle(self, handler: BaseHTTPRequestHandler) -> None:
         path, _, query = handler.path.partition("?")
         route = path.rstrip("/") or "/"
+        label, entry, tail = _lookup(route)
         try:
-            if route == "/metrics":
-                params = _parse_query(query, ("format", "scope"))
-                fmt = params.get("format", "prometheus")
-                scope = params.get("scope", "process")
-                if scope not in ("process", "fleet"):
-                    raise _ParamError(
-                        f"scope must be process or fleet, got {scope!r}"
-                    )
-                if scope == "fleet":
-                    if fmt != "prometheus":
-                        raise _ParamError(
-                            "scope=fleet renders a merged snapshot and "
-                            "supports format=prometheus only"
-                        )
-                    text = self.fleet_exposition()
-                    if text is None:
-                        status, content_type, payload = _not_found(
-                            "no shard coordinator attached"
-                        )
-                    else:
-                        status, content_type, payload = (
-                            200, PROMETHEUS_CONTENT_TYPE, text.encode()
-                        )
-                elif fmt == "prometheus":
-                    status, content_type, payload = (
-                        200, PROMETHEUS_CONTENT_TYPE,
-                        self.registry.to_prometheus().encode(),
-                    )
-                elif fmt == "openmetrics":
-                    status, content_type, payload = (
-                        200, OPENMETRICS_CONTENT_TYPE,
-                        self.registry.to_openmetrics().encode(),
-                    )
-                else:
-                    raise _ParamError(
-                        f"format must be prometheus or openmetrics, "
-                        f"got {fmt!r}"
-                    )
-            elif route == "/healthz":
-                _parse_query(query, ())
-                status, content_type, payload = (
-                    200, "application/json", b'{"ok": true}\n'
-                )
-            elif route == "/readyz":
-                _parse_query(query, ())
-                ready, body = self.ready()
-                status = 200 if ready else 503
-                content_type, payload = "application/json", _json_bytes(body)
-            elif route == "/varz":
-                _parse_query(query, ())
-                status, content_type, payload = (
-                    200, "application/json", _json_bytes(self.varz())
-                )
-            elif route == "/generations":
-                _parse_query(query, ())
-                body = self.generations()
-                if body is None:
-                    status, content_type, payload = _not_found(
-                        "no artifact store attached"
-                    )
-                else:
-                    status, content_type, payload = (
-                        200, "application/json", _json_bytes(body)
-                    )
-            elif route == "/drift/latest":
-                _parse_query(query, ())
-                body = self.drift_latest()
-                if body is None:
-                    status, content_type, payload = _not_found(
-                        "no drift report yet"
-                    )
-                else:
-                    status, content_type, payload = (
-                        200, "application/json", _json_bytes(body)
-                    )
-            elif route == "/slo":
-                _parse_query(query, ())
-                body = self.slo_report()
-                if body is None:
-                    status, content_type, payload = _not_found(
-                        "no SLO engine attached"
-                    )
-                else:
-                    status, content_type, payload = (
-                        200, "application/json", _json_bytes(body)
-                    )
-            elif route == "/alerts":
-                _parse_query(query, ())
-                body = self.alerts_report()
-                if body is None:
-                    status, content_type, payload = _not_found(
-                        "no SLO engine attached"
-                    )
-                else:
-                    status, content_type, payload = (
-                        200, "application/json", _json_bytes(body)
-                    )
-            elif route == "/shards":
-                _parse_query(query, ())
-                body = self.shards_report()
-                if body is None:
-                    status, content_type, payload = _not_found(
-                        "no shard coordinator attached"
-                    )
-                else:
-                    status, content_type, payload = (
-                        200, "application/json", _json_bytes(body)
-                    )
-            elif route == "/trace" or route.startswith("/trace/"):
-                _parse_query(query, ())
-                trace_id = route[len("/trace/"):] if route != "/trace" else ""
-                route = "/trace"   # one bounded label for every trace id
-                if not trace_id:
-                    status, content_type, payload = (
-                        200, "application/json",
-                        _json_bytes(self.traces_report()),
-                    )
-                elif "/" in trace_id:
-                    raise _ParamError(
-                        f"malformed trace id {trace_id!r}"
-                    )
-                else:
-                    body = self.trace_report(trace_id)
-                    if body is None:
-                        status, content_type, payload = _not_found(
-                            f"no spans recorded for trace {trace_id!r}"
-                        )
-                    else:
-                        status, content_type, payload = (
-                            200, "application/json", _json_bytes(body)
-                        )
-            elif route == "/profile":
-                status, content_type, payload = self._serve_profile(query)
-            elif route == "/flight":
-                params = _parse_query(query, ("dump",))
-                dump = params.get("dump")
-                if dump is not None and dump not in ("0", "1"):
-                    raise _ParamError(f"dump must be 0 or 1, got {dump!r}")
-                body = self.flight_report(dump=dump == "1")
-                if body is None:
-                    status, content_type, payload = _not_found(
-                        "no flight recorder attached"
-                    )
-                else:
-                    status, content_type, payload = (
-                        200, "application/json", _json_bytes(body)
-                    )
-            else:
+            if entry is None:
                 status, content_type, payload = _not_found(
                     f"unknown route {route!r}"
                 )
-                route = "<other>"   # unbounded label values are a leak
+            else:
+                status, content_type, payload = entry.serve(
+                    self, _parse_query(query, entry.params), tail
+                )
         except _ParamError as error:
             status = 400
             content_type = "application/json"
@@ -732,10 +606,10 @@ class AdminServer:
                 {"error": f"{type(error).__name__}: {error}"}
             )
             log.error(
-                "admin route failed", route=route,
+                "admin route failed", route=label,
                 error=f"{type(error).__name__}: {error}",
             )
-        self._requests_total.labels(route=route, status=str(status)).inc()
+        self._requests_total.labels(route=label, status=str(status)).inc()
         handler.send_response(status)
         handler.send_header("Content-Type", content_type)
         handler.send_header("Content-Length", str(len(payload)))
@@ -743,9 +617,136 @@ class AdminServer:
         handler.wfile.write(payload)
 
 
+# -- store answers (shared with the offline doctor bundle) -------------------
+
+
+def store_generations(store) -> dict:
+    """The ``/generations`` JSON of an artifact store: every generation
+    manifest, oldest first, with the serving one marked."""
+    serving = store.latest_id()
+    return {
+        "serving": serving,
+        "generations": [
+            {
+                "generation_id": record.generation_id,
+                "created_from_day": record.created_from_day,
+                "created_at": record.created_at,
+                "components": sorted(record.components),
+                "index_backend": record.index_meta.get("backend"),
+                "serving": record.generation_id == serving,
+            }
+            for record in store.list_generations()
+        ],
+    }
+
+
+def latest_drift_report(store):
+    """(generation id, report path) of the newest generation in ``store``
+    that carries a drift report; None when none does."""
+    from repro.store import DRIFT_REPORT_COMPONENT
+
+    for record in reversed(store.list_generations()):
+        if record.has_component(DRIFT_REPORT_COMPONENT):
+            return (
+                record.generation_id,
+                record.component_path(DRIFT_REPORT_COMPONENT),
+            )
+    return None
+
+
+# -- the route table ---------------------------------------------------------
+
+
 def _json_bytes(body: dict) -> bytes:
     return (json.dumps(body, indent=2, sort_keys=True) + "\n").encode()
 
 
+def _json_ok(body: dict) -> tuple[int, str, bytes]:
+    return 200, "application/json", _json_bytes(body)
+
+
 def _not_found(reason: str) -> tuple[int, str, bytes]:
     return 404, "application/json", _json_bytes({"error": reason})
+
+
+def _parse_flag(params: dict[str, str], key: str) -> bool:
+    """A ``0``/``1`` query flag; absent means 0."""
+    raw = params.get(key)
+    if raw is not None and raw not in ("0", "1"):
+        raise _ParamError(f"{key} must be 0 or 1, got {raw!r}")
+    return raw == "1"
+
+
+def _answer(ask: Callable, missing: str) -> Callable:
+    """Handler for a route over one answer method: 200 with
+    ``ask(server, params)`` as JSON, or a 404 saying ``missing`` when the
+    answer is None (the state it reads is not attached)."""
+
+    def serve(server, params, tail):
+        body = ask(server, params)
+        return _not_found(missing) if body is None else _json_ok(body)
+
+    return serve
+
+
+@dataclass(frozen=True)
+class _Route:
+    """One admin route: the query parameters it accepts, and its handler
+    ``serve(server, params, tail) -> (status, content type, payload)``.
+    ``tail`` is the path below a route that takes one (``/trace/<id>``);
+    such requests are counted under the route's own label."""
+
+    params: tuple[str, ...]
+    serve: Callable
+    takes_tail: bool = False
+
+
+_ROUTES: dict[str, _Route] = {
+    "/metrics": _Route(
+        ("format", "scope"), lambda s, p, t: s._serve_metrics(p)
+    ),
+    "/healthz": _Route(
+        (), lambda s, p, t: (200, "application/json", b'{"ok": true}\n')
+    ),
+    "/readyz": _Route((), lambda s, p, t: s._serve_ready()),
+    "/varz": _Route((), lambda s, p, t: _json_ok(s.varz())),
+    "/generations": _Route((), _answer(
+        lambda s, p: s.generations(), "no artifact store attached"
+    )),
+    "/drift/latest": _Route((), _answer(
+        lambda s, p: s.drift_latest(), "no drift report yet"
+    )),
+    "/slo": _Route((), _answer(
+        lambda s, p: s.slo_report(), "no SLO engine attached"
+    )),
+    "/alerts": _Route((), _answer(
+        lambda s, p: s.alerts_report(), "no SLO engine attached"
+    )),
+    "/shards": _Route((), _answer(
+        lambda s, p: s.shards_report(), "no shard coordinator attached"
+    )),
+    "/flight": _Route(("dump",), _answer(
+        lambda s, p: s.flight_report(dump=_parse_flag(p, "dump")),
+        "no flight recorder attached",
+    )),
+    "/profile": _Route(
+        ("seconds", "hz", "format"), lambda s, p, t: s._serve_profile(p)
+    ),
+    "/trace": _Route((), lambda s, p, t: s._serve_trace(t), takes_tail=True),
+}
+
+
+def _lookup(route: str) -> tuple[str, _Route | None, str]:
+    """(counter label, table entry, tail) for a normalised request path.
+
+    An unknown path has no entry and the single ``<other>`` label —
+    unbounded label values are a leak.
+    """
+    entry = _ROUTES.get(route)
+    if entry is not None:
+        return route, entry, ""
+    head, _, tail = route[1:].partition("/")
+    entry = _ROUTES.get("/" + head)
+    if entry is not None and entry.takes_tail:
+        return "/" + head, entry, tail
+    return "<other>", None, ""

@@ -1,15 +1,12 @@
 """Tests for the ``repro doctor`` debug-bundle collector."""
 
 import json
-import time
 from pathlib import Path
 
-import pytest
-
-from repro.obs.doctor import collect_bundle, read_bundle
+from repro.obs.doctor import _LIVE_ONLY, _LIVE_ROUTES, collect_bundle
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry, label_snapshot
-from repro.obs.server import AdminServer
+from repro.obs.server import AdminServer, _lookup, _parse_query
 from repro.obs.slo import SLOEngine
 from repro.store import DRIFT_REPORT_COMPONENT, ArtifactStore
 from repro.utils.serialization import atomic_write_json
@@ -179,50 +176,32 @@ class TestOfflineBundle:
         assert manifest["collected"]["flight.json"] == str(dump)
 
 
-class TestReadBundle:
-    def test_reads_v3_bundle(self, tmp_path):
-        collect_bundle(tmp_path / "bundle")
-        manifest = read_bundle(tmp_path / "bundle")
-        assert manifest["format"] == "repro-doctor-v3"
+class TestServerParity:
+    """The doctor asks the admin server's questions, never its own."""
 
-    def test_reads_v2_bundle(self, tmp_path):
-        # A bundle written by the pre-fleet release: no shards.json /
-        # metrics_fleet.prom / traces.json captures.  Must load as-is.
-        out = tmp_path / "v2-bundle"
-        out.mkdir()
-        atomic_write_json(out / "bundle.json", {
-            "format": "repro-doctor-v2",
-            "created_at": time.time(),
-            "admin_url": None,
-            "collected": {"slo.json": "http://127.0.0.1:1/slo"},
-            "errors": {},
-        })
-        manifest = read_bundle(out)
-        assert manifest["format"] == "repro-doctor-v2"
-        assert "shards.json" not in manifest["collected"]
+    def test_every_doctor_route_is_in_the_server_table(self):
+        targets = [route for route, _ in _LIVE_ROUTES] + list(_LIVE_ONLY)
+        for target in targets:
+            path, _, query = target.partition("?")
+            _, entry, _ = _lookup(path)
+            assert entry is not None, f"{target} is not a server route"
+            _parse_query(query, entry.params)   # its query is accepted
 
-    def test_reads_v1_bundle(self, tmp_path):
-        # A bundle written by the previous release: v1 format marker, no
-        # introspection-plane files.  Must load without complaint.
-        out = tmp_path / "old-bundle"
-        out.mkdir()
-        atomic_write_json(out / "bundle.json", {
-            "format": "repro-doctor-v1",
-            "created_at": time.time(),
-            "admin_url": None,
-            "collected": {"metrics.prom": "/tmp/final.prom"},
-            "errors": {},
-        })
-        manifest = read_bundle(out)
-        assert manifest["format"] == "repro-doctor-v1"
-        assert "slo.json" not in manifest["collected"]
-
-    def test_rejects_unknown_format(self, tmp_path):
-        out = tmp_path / "future-bundle"
-        out.mkdir()
-        atomic_write_json(out / "bundle.json", {"format": "repro-doctor-v9"})
-        with pytest.raises(ValueError, match="repro-doctor-v2"):
-            read_bundle(out)
+    def test_offline_generations_match_the_live_route(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        _publish(store)
+        with AdminServer(MetricsRegistry()) as admin:
+            admin.attach(store=store)
+            collect_bundle(
+                tmp_path / "live", admin_url=admin.url(), profile_seconds=0
+            )
+        collect_bundle(tmp_path / "offline", store=store)
+        live, offline = (
+            (tmp_path / name / "generations.json").read_text()
+            for name in ("live", "offline")
+        )
+        assert offline == live
+        assert "index_backend" in json.loads(offline)["generations"][0]
 
 
 class TestFleetBundle:

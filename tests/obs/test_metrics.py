@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -259,6 +260,63 @@ class TestExpositionEdgeCases:
             assert physical.startswith("#") or " " in physical
 
 
+#: OpenMetrics exposition of the registry built in TestGoldenExposition,
+#: which reaches every renderer branch: escaped help and label values,
+#: ``+Inf`` and ``NaN``, a family without help text, and a labelled
+#: histogram with exemplars on some buckets (``+Inf`` too) and a series
+#: with none.  The 0.0.4 exposition is the same text without exemplar
+#: suffixes and ``# EOF``.
+GOLDEN_OPENMETRICS = """\
+# HELP latency_seconds Latency.
+# TYPE latency_seconds histogram
+latency_seconds_bucket{le="0.1",stage="parse"} 1 # {trace_id="t\\"1"} 0.05 1700000000.250000
+latency_seconds_bucket{le="1",stage="parse"} 1
+latency_seconds_bucket{le="+Inf",stage="parse"} 2 # {trace_id="t2"} 5 1700000000.250000
+latency_seconds_sum{stage="parse"} 5.05
+latency_seconds_count{stage="parse"} 2
+latency_seconds_bucket{le="0.1",stage="profile"} 0
+latency_seconds_bucket{le="1",stage="profile"} 1
+latency_seconds_bucket{le="+Inf",stage="profile"} 1
+latency_seconds_sum{stage="profile"} 0.5
+latency_seconds_count{stage="profile"} 1
+# HELP loss_ratio Loss; a \\\\ and a\\nnewline.
+# TYPE loss_ratio gauge
+loss_ratio NaN
+# TYPE queue_depth gauge
+queue_depth +Inf
+# HELP requests_total Requests served.
+# TYPE requests_total counter
+requests_total{host="x\\"y\\n\\\\z"} 3
+# EOF
+"""
+
+
+class TestGoldenExposition:
+    def test_both_expositions_match_golden(self, monkeypatch):
+        registry = MetricsRegistry()
+        registry.counter(
+            "requests_total", "Requests served.", labelnames=("host",)
+        ).labels(host='x"y\n\\z').inc(3)
+        registry.gauge("queue_depth").set(float("inf"))
+        registry.gauge("loss_ratio", "Loss; a \\ and a\nnewline.").set(
+            float("nan")
+        )
+        latency = registry.histogram(
+            "latency_seconds", "Latency.", labelnames=("stage",),
+            buckets=(0.1, 1.0),
+        )
+        monkeypatch.setattr(time, "time", lambda: 1700000000.25)
+        latency.labels(stage="parse").observe(0.05, exemplar='t"1')
+        latency.labels(stage="parse").observe(5.0, exemplar="t2")
+        latency.labels(stage="profile").observe(0.5)
+        assert registry.to_openmetrics() == GOLDEN_OPENMETRICS
+        assert registry.to_prometheus() == "".join(
+            line.split(" # {")[0] + "\n"
+            for line in GOLDEN_OPENMETRICS.splitlines()
+            if line != "# EOF"
+        )
+
+
 class TestNullRegistry:
     def test_everything_is_a_no_op(self):
         registry = NullRegistry()
@@ -453,12 +511,6 @@ class TestMergeSnapshots:
         merged = MetricsRegistry.merge_snapshots([snap_a, snap_b])
         exemplar = merged["metrics"][0]["series"][0]["exemplars"]["1"]
         assert exemplar["trace_id"] == "newer"
-
-    def test_module_level_alias(self):
-        from repro.obs import merge_snapshots
-
-        snapshot = self._worker_registry(1, 0.1).snapshot()
-        assert merge_snapshots([snapshot])["format"] == "repro-metrics-v1"
 
 
 class TestMergeSnapshotsProperty:

@@ -16,7 +16,9 @@ from repro.obs.metrics import MetricsRegistry, label_snapshot
 from repro.obs.profile import SamplingProfiler
 from repro.obs.tracing import TraceContext, Tracer, use_trace
 from repro.obs.server import (
+    _ROUTES,
     MAX_QUERY_LENGTH,
+    OPENMETRICS_CONTENT_TYPE,
     PROMETHEUS_CONTENT_TYPE,
     AdminServer,
 )
@@ -407,6 +409,9 @@ def _fake_coordinator():
             first, second = MetricsRegistry(), MetricsRegistry()
             first.counter("stream_events_total", "E.").inc(3)
             second.counter("stream_events_total", "E.").inc(4)
+            first.histogram(
+                "profile_latency_seconds", "L.", buckets=(0.1,)
+            ).observe(0.05, exemplar="abc123")
             return MetricsRegistry.merge_snapshots([
                 label_snapshot(first.snapshot(), shard="0"),
                 label_snapshot(second.snapshot(), shard="1"),
@@ -431,6 +436,9 @@ class TestFleetRoutes:
         samples = parse_prometheus(body)
         assert samples['stream_events_total{shard="0"}'] == 3.0
         assert samples['stream_events_total{shard="1"}'] == 4.0
+        # The 0.0.4 content type promises no exemplar syntax, whichever
+        # snapshot the scope picked.
+        assert "# {" not in body and "# EOF" not in body
 
     def test_scope_process_is_the_default(self, server, registry):
         # (Compare one inert sample: the scrape counter itself moves
@@ -447,12 +455,18 @@ class TestFleetRoutes:
         assert status == 400
         assert "scope" in json.loads(body)["error"]
 
-    def test_fleet_scope_requires_prometheus_format(self, server):
+    def test_fleet_scope_serves_openmetrics(self, server):
         server.attach(coordinator=_fake_coordinator())
-        status, _, _ = _get(
+        status, content_type, body = _get(
             server.url("/metrics?scope=fleet&format=openmetrics")
         )
-        assert status == 400
+        assert status == 200
+        assert content_type == OPENMETRICS_CONTENT_TYPE
+        assert (
+            'profile_latency_seconds_bucket{le="0.1",shard="0"} 1 '
+            '# {trace_id="abc123"} 0.05 '
+        ) in body
+        assert body.endswith("# EOF\n")
 
     def test_varz_reports_fleet_facts(self, server):
         server.attach(coordinator=_fake_coordinator())
@@ -521,14 +535,20 @@ class TestTraceRoutes:
         assert status == 400
 
     def test_trace_ids_never_explode_the_route_label(self, registry):
-        # Every /trace/<id> fetch lands on one bounded "/trace" label.
+        # Every /trace/<id> fetch lands on one bounded "/trace" label,
+        # rejected ones included.
         with AdminServer(registry) as admin:
             for trace_id in ("x1", "x2", "x3"):
                 _get(admin.url(f"/trace/{trace_id}"))
+            _get(admin.url("/trace/x4?bogus=1"))
         requests = registry.counter(
             "admin_requests_total", labelnames=("route", "status")
         )
         assert requests.value_of(route="/trace", status="404") == 3
+        assert requests.value_of(route="/trace", status="400") == 1
+        assert [
+            labels["route"] for labels, _ in requests.samples()
+        ] == ["/trace", "/trace"]
 
 
 class TestAdversarialParams:
@@ -539,6 +559,9 @@ class TestAdversarialParams:
         "/drift/latest", "/slo", "/alerts", "/profile", "/flight",
         "/shards", "/trace",
     )
+
+    def test_covers_every_route_in_the_table(self):
+        assert sorted(self.ROUTES) == sorted(_ROUTES)
 
     def _assert_client_error(self, server, target):
         status, _, body = _get(server.url(target))

@@ -283,6 +283,24 @@ class TestWorldgenCli:
         assert "observe: capped at 5 events" in out
         assert "hostname events" in out
 
+    def test_sharded_observe_matches_single_process(self, capsys):
+        # The fleet must see exactly what one process sees; the CI shard
+        # job diffs this same line at a million users.
+        def observe_line(*extra):
+            assert main([*self.ARGS, "--observe", *extra]) == 0
+            out = capsys.readouterr().out
+            (line,) = [
+                line for line in out.splitlines()
+                if line.startswith("  observe:")
+            ]
+            return line, out
+
+        single, _ = observe_line()
+        sharded, out = observe_line("--workers", "2")
+        assert sharded == single
+        assert "shard fleet: 2 workers" in out
+        assert "0 restart(s)" in out
+
 
 class TestStoreCli:
     """The --store / store subcommand surface, on a tiny world."""
@@ -516,6 +534,20 @@ class TestTelemetry:
         text = metrics.read_text()
         assert "# TYPE netobs_packets_total counter" in text
         assert "netobs_packets_total " in text
+
+    def test_flusher_final_flush_is_the_only_exit_write(
+        self, pcap, tmp_path, monkeypatch
+    ):
+        from repro.obs import flush
+
+        writes = []
+        monkeypatch.setattr(
+            flush, "write_metrics", lambda registry, path: writes.append(path)
+        )
+        metrics = tmp_path / "metrics.prom"
+        assert main(["stream", str(pcap), "--metrics-out", str(metrics),
+                     "--metrics-flush-interval", "3600"]) == 0
+        assert writes == [metrics]
 
     def test_metrics_dump(self, pcap, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"
