@@ -1,8 +1,8 @@
 """Accumulate per-run ``BENCH_*.json`` artifacts into a trajectory.
 
 Every bench run emits a ``repro-metrics-v1`` snapshot
-(``BENCH_throughput.json``, ``BENCH_shard.json``, ``BENCH_worldgen.json``,
-``BENCH_index.json``) — a point measurement that, uploaded alone, tells
+(``BENCH_throughput.json``, ``BENCH_shard.json``, ``BENCH_worldgen.json``)
+— a point measurement that, uploaded alone, tells
 you nothing about the trend.  This script appends each artifact it finds
 to a cumulative ``BENCH_history.jsonl``: one JSON line per (run, bench)
 pair carrying the flattened gauges plus run metadata (timestamp, git

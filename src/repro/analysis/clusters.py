@@ -51,13 +51,13 @@ def neighbourhood_purity(
     unit = embeddings.unit_vectors[ids]
     verticals = np.array([site.vertical for site in sites])
 
-    # One batched query over the site-only sub-index replaces the old
+    # One query per site over the site-only sub-index replaces the old
     # |S| x |S| similarity matrix + fill_diagonal scan.  Each row asks
     # for k+1 neighbours (itself included), then drops itself; rows
     # where a tie pushed the site out of its own top-(k+1) drop the
     # last neighbour instead so exactly k remain.
     index = ExactIndex(unit, metric="cosine", normalized=True)
-    ids_batch, _ = index.search_batch(unit, k + 1)
+    ids_batch = np.vstack([index.search(row, k + 1)[0] for row in unit])
     self_mask = ids_batch == np.arange(len(sites))[:, None]
     missing_self = ~self_mask.any(axis=1)
     self_mask[missing_self, -1] = True

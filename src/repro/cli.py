@@ -41,10 +41,6 @@ The ``experiment``, ``train``, ``observe`` and ``stream`` commands accept
 text) and ``--trace-out PATH`` (Chrome ``trace_event`` JSON, loadable in
 chrome://tracing or https://ui.perfetto.dev).
 
-The ``experiment``, ``stream`` and ``neighbours`` commands accept
-``--index-backend {exact,blocked}`` to pick the vector-index backend
-behind every nearest-neighbour search; see DESIGN.md ("Vector index").
-
 The deep introspection plane (DESIGN.md, "Deep introspection"):
 ``stream`` and ``experiment`` accept ``--trace-sample-rate`` (head-
 sampled request-scoped traces with histogram exemplars), ``--slo``
@@ -71,13 +67,6 @@ def _build_world(seed: int, num_sites: int, num_users: int, days: int):
         seed=seed, num_sites=num_sites, num_users=num_users, num_days=days
     )
     return world.taxonomy, world.web, world.population, world.trace
-
-
-def _index_config(args: argparse.Namespace):
-    """Build an :class:`IndexConfig` from ``--index-backend``."""
-    from repro.index import IndexConfig
-
-    return IndexConfig(backend=args.index_backend)
 
 
 def _open_store(args: argparse.Namespace, registry, tracer):
@@ -344,7 +333,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         config.retrain.max_attempts = args.retrain_attempts
     if args.retrain_backoff is not None:
         config.retrain.backoff_base_seconds = args.retrain_backoff
-    config.pipeline.index = _index_config(args)
     print(
         f"running {args.scale} experiment "
         f"(seed {args.seed}, {config.profiling_days} profiling days)..."
@@ -469,7 +457,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         index = build_index(
             embeddings.unit_vectors,
             metric="cosine",
-            config=_index_config(args),
             normalized=True,
             registry=registry,
         )
@@ -494,8 +481,6 @@ def _load_embeddings(path: Path):
 
 
 def cmd_neighbours(args: argparse.Namespace) -> int:
-    from repro.index import build_index
-
     embeddings = _load_embeddings(Path(args.vectors))
     if args.hostname not in embeddings:
         print(
@@ -504,14 +489,6 @@ def cmd_neighbours(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    embeddings.bind_index(
-        build_index(
-            embeddings.unit_vectors,
-            metric="cosine",
-            config=_index_config(args),
-            normalized=True,
-        )
-    )
     for hostname, similarity in embeddings.most_similar(
         args.hostname, args.n
     ):
@@ -951,7 +928,6 @@ def _train_stream_model(
             skipgram=SkipGramConfig(
                 epochs=args.train_epochs, seed=args.seed
             ),
-            index=_index_config(args),
         ),
         registry=registry,
         tracer=tracer,
@@ -1041,14 +1017,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
     # rebuild the labelled world and load store.latest() into a pipeline.
     pipeline = None
     if store is not None and not args.train and store.latest() is not None:
-        from repro.core.pipeline import (
-            NetworkObserverProfiler,
-            PipelineConfig,
-        )
+        from repro.core.pipeline import NetworkObserverProfiler
 
         pipeline = NetworkObserverProfiler(
             _labelled_world(args.seed, args.sites),
-            config=PipelineConfig(index=_index_config(args)),
             registry=registry,
             tracer=tracer,
         )
@@ -1285,15 +1257,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--users", type=int, default=60)
         p.add_argument("--days", type=int, default=2)
 
-    def add_index_args(p):
-        p.add_argument(
-            "--index-backend", choices=("exact", "blocked"),
-            default="exact",
-            help="vector-index backend behind nearest-neighbour search "
-            "(exact = brute force, blocked = batched float32 GEMM; "
-            "see DESIGN.md)",
-        )
-
     def add_store_args(p):
         p.add_argument(
             "--store", default=None, metavar="DIR",
@@ -1418,7 +1381,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retrain-backoff", type=float, default=None,
         help="base backoff seconds between retrain retries",
     )
-    add_index_args(p)
     add_store_args(p)
     add_shard_args(p)
     add_telemetry_args(p)
@@ -1437,7 +1399,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default="embeddings.npz",
         help=".npz archive or .txt (word2vec text format)",
     )
-    add_index_args(p)
     add_store_args(p)
     add_telemetry_args(p)
     p.set_defaults(func=cmd_train)
@@ -1448,7 +1409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vectors", help="embeddings file (.npz or .txt)")
     p.add_argument("hostname")
     p.add_argument("-n", type=int, default=10)
-    add_index_args(p)
     p.set_defaults(func=cmd_neighbours)
 
     p = sub.add_parser(
@@ -1655,7 +1615,6 @@ def build_parser() -> argparse.ArgumentParser:
         "a --workers run so live fleet probes and straggler injection "
         "have a mid-run window to hit; CI uses this)",
     )
-    add_index_args(p)
     add_store_args(p)
     add_shard_args(p)
     add_telemetry_args(p)

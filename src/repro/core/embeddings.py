@@ -9,16 +9,14 @@ aggregation function g, a mean over the session's hostname vectors).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.vocabulary import Vocabulary
-from repro.index.base import unit_rows as _unit_rows
+from repro.index import ExactIndex
+from repro.index import unit_rows as _unit_rows
 from repro.utils.serialization import save_npz_deterministic
-
-if TYPE_CHECKING:
-    from repro.index.base import VectorIndex
 
 
 class HostnameEmbeddings:
@@ -46,7 +44,7 @@ class HostnameEmbeddings:
         self.vocabulary = vocabulary
         self.context_vectors = context_vectors
         self._unit: np.ndarray | None = None
-        self._index: "VectorIndex | None" = None
+        self._index: ExactIndex | None = None
 
     # -- basic access ----------------------------------------------------------
 
@@ -78,24 +76,21 @@ class HostnameEmbeddings:
     # -- the bound vector index ---------------------------------------------------
 
     @property
-    def index(self) -> "VectorIndex":
+    def index(self) -> ExactIndex:
         """The vector index every similarity query routes through.
 
-        Defaults to an :class:`~repro.index.exact.ExactIndex` over the
-        unit rows (bit-for-bit the historical brute-force scan); bind an
-        approximate backend with :meth:`bind_index` to make neighbour
-        queries sublinear in |V|.
+        Defaults to an unmetered :class:`~repro.index.ExactIndex` over
+        the unit rows; the pipeline binds one that reports to its
+        metrics registry with :meth:`bind_index`.
         """
         if self._index is None:
-            from repro.index.exact import ExactIndex
-
             self._index = ExactIndex(
                 self.unit_vectors, metric="cosine", normalized=True
             )
         return self._index
 
     def bind_index(
-        self, index: "VectorIndex", reuse_unit_rows: bool = False
+        self, index: ExactIndex, reuse_unit_rows: bool = False
     ) -> None:
         """Attach a prebuilt index (the daily retrain swaps one in).
 
@@ -131,11 +126,11 @@ class HostnameEmbeddings:
     def nearest_to_vector(
         self, vector: np.ndarray, n: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """ids and cosine similarities of the up-to-n nearest hostnames.
+        """ids and cosine similarities of the ``min(n, |V|)`` nearest
+        hostnames.
 
         ``n <= 0`` returns empty arrays (historically this crashed in
-        ``np.argpartition``); an approximate bound index may return fewer
-        than ``n`` results.
+        ``np.argpartition``).
         """
         return self.index.search(vector, n)
 

@@ -22,7 +22,7 @@ from repro.core.embeddings import HostnameEmbeddings
 from repro.core.profiler import SessionProfile, SessionProfiler
 from repro.core.session import SessionExtractor, SessionWindow
 from repro.core.skipgram import SkipGramConfig, SkipGramModel, TrainStats
-from repro.index import IndexConfig, build_index
+from repro.index import ExactIndex, build_index, load_index
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.traffic.blocklists import TrackerFilter
@@ -47,9 +47,6 @@ class PipelineConfig:
     aggregation: str = "mean"           # g
     skipgram: SkipGramConfig = field(default_factory=SkipGramConfig)
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
-    # Neighbour-search backend for the Eq. 3 N-neighbourhood; rebuilt and
-    # swapped atomically with the embeddings on every daily retrain.
-    index: IndexConfig = field(default_factory=IndexConfig)
 
     def validate(self) -> None:
         if self.session_minutes <= 0:
@@ -58,7 +55,6 @@ class PipelineConfig:
             raise ValueError("report_interval_minutes must be positive")
         self.skipgram.validate()
         self.corpus.validate()
-        self.index.validate()
 
 
 class NetworkObserverProfiler:
@@ -136,12 +132,11 @@ class NetworkObserverProfiler:
         # (the same atomic-swap discipline as the model itself).
         with self.tracer.span(
             "index.build",
-            backend=self.config.index.backend, vocabulary=len(embeddings),
+            backend=ExactIndex.name, vocabulary=len(embeddings),
         ):
             index = build_index(
                 embeddings.unit_vectors,
                 metric="cosine",
-                config=self.config.index,
                 normalized=True,
                 registry=self.registry,
             )
@@ -151,12 +146,27 @@ class NetworkObserverProfiler:
             "Vector-index rebuilds (one per model retrain).",
             labelnames=("backend",),
         ).labels(backend=index.name).inc()
+        return self._session_profiler(
+            embeddings, index, self._profiler_config()
+        )
+
+    def _session_profiler(
+        self, embeddings: HostnameEmbeddings, index: ExactIndex,
+        serving: dict,
+    ) -> SessionProfiler:
+        """The Eq. 3/4 profiler over ``index`` with ``serving`` knobs.
+
+        ``serving`` has the keys of :meth:`_profiler_config`; a loaded
+        model passes the values its publisher recorded.
+        """
         return SessionProfiler(
             embeddings,
             self.labelled,
-            neighbourhood_size=self.config.neighbourhood_size,
-            aggregation=self.config.aggregation,
-            max_neighbourhood_fraction=self.config.max_neighbourhood_fraction,
+            neighbourhood_size=int(serving["neighbourhood_size"]),
+            aggregation=serving["aggregation"],
+            max_neighbourhood_fraction=float(
+                serving["max_neighbourhood_fraction"]
+            ),
             registry=self.registry,
             index=index,
             tracer=self.tracer,
@@ -227,69 +237,22 @@ class NetworkObserverProfiler:
     ) -> "GenerationRecord":
         """Serve a stored generation (``latest`` unless named).
 
-        Every component is digest-verified before deserialization, the
-        saved index is *loaded*, not rebuilt, and the session profiler is
-        reassembled from the generation's own config, so the restored
-        observer scores sessions exactly as the one that published.
+        Every component is digest-verified before deserialization, then
+        the generation directory is served by :meth:`load_model_dir`:
+        the saved index is *loaded*, not rebuilt, and the session
+        profiler is reassembled from the generation's own config, so the
+        restored observer scores sessions exactly as the one that
+        published.  A generation that cannot be served (no index
+        archive, or one naming a backend this build does not have)
+        raises, and the model already serving stays in place.
 
         ``mmap_mode="r"`` loads the embedding and index matrices as
         read-only maps (zero-copy across worker processes); it only
         pays off on archives written ``compress=False`` — compressed
         members silently fall back to eager read-only loads.
         """
-        import json as _json
-
-        from repro.index.base import load_index
-        from repro.store import (
-            EMBEDDINGS_COMPONENT,
-            INDEX_COMPONENT,
-            PROFILER_CONFIG_COMPONENT,
-        )
-
         record = store.restore(generation_id)
-        embeddings = HostnameEmbeddings.load(
-            record.component_path(EMBEDDINGS_COMPONENT),
-            mmap_mode=mmap_mode,
-        )
-        if record.has_component(INDEX_COMPONENT):
-            index = load_index(
-                record.component_path(INDEX_COMPONENT),
-                registry=self.registry,
-                mmap_mode=mmap_mode,
-            )
-            embeddings.bind_index(
-                index, reuse_unit_rows=mmap_mode is not None
-            )
-        else:
-            # Generations published without a prebuilt index (foreign
-            # tooling) fall back to this pipeline's configured backend.
-            index = None
-        serving = self._profiler_config()
-        if record.has_component(PROFILER_CONFIG_COMPONENT):
-            serving.update(
-                _json.loads(
-                    record.component_path(
-                        PROFILER_CONFIG_COMPONENT
-                    ).read_text()
-                )
-            )
-        if index is None:
-            profiler = self._build_profiler(embeddings)
-        else:
-            profiler = SessionProfiler(
-                embeddings,
-                self.labelled,
-                neighbourhood_size=int(serving["neighbourhood_size"]),
-                aggregation=serving["aggregation"],
-                max_neighbourhood_fraction=float(
-                    serving["max_neighbourhood_fraction"]
-                ),
-                registry=self.registry,
-                index=index,
-                tracer=self.tracer,
-            )
-        self._embeddings = embeddings
-        self._profiler = profiler
+        self.load_model_dir(record.path, mmap_mode=mmap_mode)
         return record
 
     def export_model_dir(
@@ -328,16 +291,17 @@ class NetworkObserverProfiler:
     def load_model_dir(
         self, directory, mmap_mode: str | None = "r"
     ) -> None:
-        """Serve the model exported by :meth:`export_model_dir`.
+        """Serve the model in ``directory`` (an export or a generation).
 
-        The worker-side half of zero-copy sharing: defaults to
-        ``mmap_mode="r"`` so every worker process binds read-only maps
-        of the same archive files.
+        The one model loader: :meth:`load_generation` calls it after
+        verifying digests, and each shard worker calls it on the
+        coordinator's export.  Defaults to ``mmap_mode="r"`` so every
+        worker process binds read-only maps of the same archive files.
+        Nothing is swapped in until every component has loaded.
         """
         import json as _json
         from pathlib import Path as _Path
 
-        from repro.index.base import load_index
         from repro.store import (
             EMBEDDINGS_COMPONENT,
             INDEX_COMPONENT,
@@ -360,19 +324,9 @@ class NetworkObserverProfiler:
         config_path = directory / PROFILER_CONFIG_COMPONENT
         if config_path.exists():
             serving.update(_json.loads(config_path.read_text()))
+        profiler = self._session_profiler(embeddings, index, serving)
         self._embeddings = embeddings
-        self._profiler = SessionProfiler(
-            embeddings,
-            self.labelled,
-            neighbourhood_size=int(serving["neighbourhood_size"]),
-            aggregation=serving["aggregation"],
-            max_neighbourhood_fraction=float(
-                serving["max_neighbourhood_fraction"]
-            ),
-            registry=self.registry,
-            index=index,
-            tracer=self.tracer,
-        )
+        self._profiler = profiler
 
     # -- profiling ---------------------------------------------------------------
 
@@ -384,23 +338,6 @@ class NetworkObserverProfiler:
 
     def profile_window(self, window: SessionWindow) -> SessionProfile:
         return self.profile_session(list(window.hostnames))
-
-    def profile_sessions(self, sessions) -> list[SessionProfile]:
-        """Profile many hostname lists with one batched index search."""
-        if self.tracker_filter is not None:
-            sessions = [
-                self.tracker_filter.filter_hostnames(list(hosts))
-                for hosts in sessions
-            ]
-        return self.profiler.profile_sessions(sessions)
-
-    def profile_windows(
-        self, windows: list[SessionWindow]
-    ) -> list[SessionProfile]:
-        """Batched :meth:`profile_window` (one GEMM scores them all)."""
-        return self.profile_sessions(
-            [list(window.hostnames) for window in windows]
-        )
 
     def profile_user(
         self, user_requests: list[Request], now: float

@@ -11,8 +11,7 @@ N-nearest-neighbour vote:
   (Eq. 4), which keeps every component in [0, 1].
 
 The N-neighbourhood is fetched through the profiler's
-:class:`~repro.index.base.VectorIndex` (exact by default, approximate
-backends opt-in), so per-session cost follows the index, not |V|.  The
+:class:`~repro.index.ExactIndex`, one O(|V| x d) scan per session.  The
 ambient-similarity recentring term is O(d) per session: the mean of all
 |V| cosines to a query equals the dot of the query's unit vector with
 the cached mean unit row, computed once per embedding swap.
@@ -37,7 +36,7 @@ from repro.obs.tracing import NULL_TRACER, Tracer, current_exemplar
 from repro.ontology.taxonomy import Category, Taxonomy
 
 if TYPE_CHECKING:
-    from repro.index.base import VectorIndex
+    from repro.index import ExactIndex
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ class SessionProfiler:
         max_neighbourhood_fraction: float = 0.05,
         recentre_alpha: bool = True,
         registry: MetricsRegistry | None = None,
-        index: "VectorIndex | None" = None,
+        index: "ExactIndex | None" = None,
         tracer: Tracer | None = None,
     ):
         """``neighbourhood_size`` is the paper's N = 1000 — but the paper
@@ -120,9 +119,9 @@ class SessionProfiler:
         of the session vector to the whole vocabulary.  The ablation bench
         compares both variants.
 
-        ``index`` overrides the neighbour-search backend; by default the
-        profiler uses the index bound to ``embeddings`` (exact unless a
-        retrain swapped in an approximate one)."""
+        ``index`` is the neighbour-search index to use (the pipeline
+        passes one that reports to its metrics registry); by default the
+        profiler uses the index bound to ``embeddings``."""
         if neighbourhood_size < 1:
             raise ValueError("neighbourhood_size must be >= 1")
         if not 0 < max_neighbourhood_fraction <= 1:
@@ -170,15 +169,6 @@ class SessionProfiler:
             "Wall time to compute one session's category vector.",
             buckets=LATENCY_BUCKETS_FAST,
         )
-        self._batches_total = self.registry.counter(
-            "profile_batches_total",
-            "profile_sessions() batch calls (many windows, one search).",
-        )
-        self._batch_latency = self.registry.histogram(
-            "profile_batch_latency_seconds",
-            "Wall time to profile one batch of session windows.",
-            buckets=LATENCY_BUCKETS_FAST,
-        )
 
         dims = {v.shape for v in labelled.values()}
         if len(dims) != 1:
@@ -212,7 +202,7 @@ class SessionProfiler:
         return int((self._label_row_of >= 0).sum())
 
     @property
-    def index(self) -> "VectorIndex":
+    def index(self) -> "ExactIndex":
         """The vector index serving the Eq. 3 neighbourhood queries."""
         return self._index
 
@@ -262,64 +252,6 @@ class SessionProfiler:
         if result.is_empty:
             self._empty_total.inc()
         return result
-
-    def profile_sessions(
-        self, sessions: Iterable[Iterable[str]]
-    ) -> list[SessionProfile]:
-        """Profile many session windows with one batched index search.
-
-        All session vectors are aggregated first, then scored against the
-        vocabulary in a single ``search_batch`` call — on the blocked
-        backend that is a handful of GEMMs for the whole batch instead of
-        one python-level scan per session.  Results match :meth:`profile`
-        session-for-session (bitwise, on the exact backend).
-        """
-        if current_exemplar() is not None and not self.tracer.null:
-            with self.tracer.span("profile.batch"):
-                return self._profile_sessions(sessions)
-        return self._profile_sessions(sessions)
-
-    def _profile_sessions(
-        self, sessions: Iterable[Iterable[str]]
-    ) -> list[SessionProfile]:
-        started = time.perf_counter() if self._measure else 0.0
-        prepared = [first_visits(hosts) for hosts in sessions]
-        vectors: list[np.ndarray | None] = [
-            self.embeddings.aggregate(hosts, how=self.aggregation)
-            if hosts else None
-            for hosts in prepared
-        ]
-        with_vector = [i for i, v in enumerate(vectors) if v is not None]
-        ids_batch = sims_batch = None
-        if with_vector:
-            queries = np.vstack([vectors[i] for i in with_vector])
-            ids_batch, sims_batch = self._index.search_batch(
-                queries, self.neighbourhood_size
-            )
-        results: list[SessionProfile] = []
-        row_of = {i: row for row, i in enumerate(with_vector)}
-        for i, hosts in enumerate(prepared):
-            if not hosts:
-                results.append(self._empty_profile(0, 0))
-                continue
-            if vectors[i] is None:
-                neighbours = None
-            else:
-                row = row_of[i]
-                neighbours = (ids_batch[row], sims_batch[row])
-            results.append(
-                self._vote(hosts, vectors[i], neighbours)
-            )
-        if self._measure:
-            self._batch_latency.observe(
-                time.perf_counter() - started, exemplar=current_exemplar()
-            )
-            self._batches_total.inc()
-            self._sessions_total.inc(len(results))
-            self._empty_total.inc(
-                sum(1 for r in results if r.is_empty)
-            )
-        return results
 
     def _profile(self, hostnames: Iterable[str]) -> SessionProfile:
         session_hosts = first_visits(hostnames)

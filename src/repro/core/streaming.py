@@ -18,7 +18,6 @@ module provides that deployment shape:
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -36,6 +35,7 @@ from repro.obs.tracing import (
     use_trace,
 )
 from repro.traffic.blocklists import TrackerFilter
+from repro.utils.serialization import atomic_write_text
 from repro.utils.timeutils import minutes
 
 
@@ -402,11 +402,7 @@ class StreamingProfiler:
         as a published generation (the pipeline's ``publish_generation``);
         pass ``store``/``pipeline`` to :meth:`restore` to reattach it.
         """
-        path = Path(path)
-        snapshot = self.snapshot_state()
-        scratch = path.with_name(path.name + ".tmp")
-        scratch.write_text(json.dumps(snapshot))
-        os.replace(scratch, path)
+        atomic_write_text(path, json.dumps(self.snapshot_state()))
         self.last_checkpoint_time = time.time()
 
     @classmethod

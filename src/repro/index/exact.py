@@ -1,22 +1,157 @@
-"""Exhaustive backends: ground-truth scan and the blocked batched scan."""
+"""The vector index every search call site routes through.
+
+The paper's whole profiling algorithm is nearest-neighbour retrieval:
+the N = 1000 cosine neighbourhood per session (Eq. 3/4), the 20-NN
+Euclidean ad lookup (Section 5.4), and the Figure-5 cluster inspection
+are all "find the rows of a matrix closest to a query".  Before this
+subsystem each caller re-implemented the full O(|V| x d) scan; now they
+share :class:`ExactIndex`, the same brute-force scan kept bit-for-bit
+compatible with the historical call sites.
+
+Score convention: **higher is better** for every metric.  ``cosine``
+scores are cosine similarities; ``euclidean`` scores are *negative
+squared* Euclidean distances (monotone in true distance, cheap to
+compute, and one ordering rule serves both metrics).
+"""
 
 from __future__ import annotations
 
+import json
+import time
+from pathlib import Path
+
 import numpy as np
 
-from repro.index.base import VectorIndex, top_ids_desc, unit_rows
+from repro.obs.metrics import (
+    LATENCY_BUCKETS_FAST,
+    NULL_REGISTRY,
+    MetricsRegistry,
+)
+from repro.obs.tracing import NULL_TRACER, current_exemplar
+from repro.utils.serialization import load_npz_mapped, save_npz_deterministic
+
+METRICS = ("cosine", "euclidean")
+
+#: Format marker in saved index archives (see :meth:`ExactIndex.save`).
+INDEX_FORMAT = "repro-index-v1"
 
 
-class ExactIndex(VectorIndex):
-    """The historical brute-force scan, kept as ground truth.
+def unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """Row-normalize with the zero-row guard every call site used."""
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    return matrix / np.maximum(norms, 1e-12)
+
+
+def top_ids_desc(scores: np.ndarray, n: int) -> np.ndarray:
+    """ids of the ``n`` largest scores, descending, ties stable by id.
+
+    Reproduces the historical selection ops exactly (argpartition then a
+    stable argsort of the partition), so search is bit-for-bit the
+    pre-refactor behaviour.
+    """
+    n = min(n, len(scores))
+    if n <= 0:
+        return np.empty(0, dtype=np.int64)
+    top = np.argpartition(-scores, n - 1)[:n]
+    return top[np.argsort(-scores[top], kind="stable")]
+
+
+class ExactIndex:
+    """Exhaustive nearest-neighbour search over the rows of a fixed matrix.
 
     Scores, selection and tie-breaking are bit-for-bit what the call
     sites computed before the index subsystem existed, so profiles and
-    ad rankings produced through this backend are byte-identical to the
-    pre-refactor code.
+    ad rankings are byte-identical to the pre-refactor code.
+
+    Instances are immutable after construction: a model retrain builds a
+    fresh index and swaps it in atomically (see
+    :meth:`repro.core.pipeline.NetworkObserverProfiler.train_on_sequences`).
     """
 
+    #: backend identifier in metric labels, manifests and saved archives
     name = "exact"
+
+    def __init__(
+        self,
+        vectors: np.ndarray,
+        metric: str = "cosine",
+        normalized: bool = False,
+        registry: MetricsRegistry | None = None,
+    ):
+        vectors = np.asarray(vectors)
+        if vectors.ndim != 2:
+            raise ValueError("index vectors must be a 2-D matrix")
+        if vectors.shape[0] == 0:
+            raise ValueError("cannot index an empty matrix")
+        if metric not in METRICS:
+            raise ValueError(
+                f"unknown metric {metric!r}; choose from {METRICS}"
+            )
+        self.metric = metric
+        if metric == "cosine" and not normalized:
+            vectors = unit_rows(np.asarray(vectors, dtype=np.float64))
+        self._vectors = vectors
+        registry = registry if registry is not None else NULL_REGISTRY
+        self.registry = registry
+        self._measure = not registry.null
+        # Rebindable after construction (SessionProfiler binds its tracer
+        # here) so sampled traces get "index.search" spans without the
+        # factory chain having to thread a tracer argument.
+        self.tracer = NULL_TRACER
+        self._queries_total = registry.counter(
+            "index_queries_total",
+            "Vector-index queries served.",
+            labelnames=("backend",),
+        ).labels(backend=self.name)
+        self._scanned_total = registry.counter(
+            "index_rows_scanned_total",
+            "Candidate rows scored across all queries (|V| per query).",
+            labelnames=("backend",),
+        ).labels(backend=self.name)
+        self._search_seconds = registry.histogram(
+            "index_search_seconds",
+            "Wall time per search call.",
+            labelnames=("backend",),
+            buckets=LATENCY_BUCKETS_FAST,
+        ).labels(backend=self.name)
+
+    # -- shape -----------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return self._vectors.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self._vectors.shape[1]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The stored matrix (unit rows for cosine).  Do not mutate.
+
+        For a cosine index this is exactly the row-normalized embedding
+        matrix, which is why ``HostnameEmbeddings.bind_index(...,
+        reuse_unit_rows=True)`` can adopt it as its unit-row cache — and
+        when the index was loaded ``mmap_mode="r"``, keep a whole worker
+        fleet on one shared physical copy.
+        """
+        return self._vectors
+
+    # -- search ----------------------------------------------------------------
+
+    def _prepare_query(self, query: np.ndarray) -> np.ndarray:
+        """Validate and (for cosine) unit-normalize one query vector."""
+        query = np.asarray(query, dtype=self._vectors.dtype)
+        if query.ndim != 1 or query.shape[0] != self.dim:
+            raise ValueError(
+                f"query must be a vector of dim {self.dim}, "
+                f"got shape {query.shape}"
+            )
+        if self.metric == "cosine":
+            norm = np.linalg.norm(query)
+            if norm < 1e-12:
+                return np.zeros_like(query)
+            return query / norm
+        return query
 
     def _search_prepared(
         self, query: np.ndarray, n: int
@@ -27,158 +162,144 @@ class ExactIndex(VectorIndex):
         ids = top_ids_desc(scores, n)
         return ids, scores[ids]
 
-
-class BlockedExactIndex(VectorIndex):
-    """Cache-blocked float32 scan built for multi-query batches.
-
-    Still exhaustive (recall 1.0 up to float32 rounding of near-ties),
-    but the matrix is stored as float32 unit rows and queries are scored
-    a row-block at a time with one GEMM per (block x batch) tile — the
-    streaming profiler scores a whole batch of session windows in a few
-    matmuls instead of |batch| python-level scans.  ``block_rows`` keeps
-    the active tile inside cache for matrices much larger than L2.
-    """
-
-    name = "blocked"
-
-    def __init__(
-        self,
-        vectors: np.ndarray,
-        metric: str = "cosine",
-        normalized: bool = False,
-        block_rows: int = 8192,
-        registry=None,
-    ):
-        super().__init__(
-            vectors, metric=metric, normalized=normalized,
-            registry=registry,
-        )
-        if block_rows < 1:
-            raise ValueError("block_rows must be >= 1")
-        self.block_rows = int(block_rows)
-        self._matrix32 = np.ascontiguousarray(
-            self._vectors, dtype=np.float32
-        )
-        if metric == "euclidean":
-            # scores = -(|x|^2 - 2 x.q + |q|^2), via one GEMM + row norms.
-            self._sqnorms32 = np.einsum(
-                "ij,ij->i", self._matrix32, self._matrix32
-            )
-
-    def _save_state(self):
-        # The float32 matrix and squared norms are deterministic casts of
-        # the stored vectors; only the block size needs persisting.
-        return {"block_rows": self.block_rows}, {}
-
-    def _block_neg_scores(
-        self,
-        queries32: np.ndarray,
-        neg_queries32: np.ndarray,
-        start: int,
-        stop: int,
-    ) -> np.ndarray:
-        """(batch, stop-start) *negated* score tile for float32 queries.
-
-        Negated so the selection below can argpartition/argsort ascending
-        without materialising a ``-tile`` copy per block — for cosine the
-        negation rides along free in the GEMM via pre-negated queries.
-        Computed as ``Q @ block.T`` so the tile comes out C-contiguous:
-        selection walks rows, and row-major order keeps it cache-friendly
-        (an F-ordered tile makes those steps orders of magnitude slower).
-        """
-        if self.metric == "cosine":
-            return neg_queries32 @ self._matrix32[start:stop].T
-        tile = queries32 @ self._matrix32[start:stop].T
-        q_sq = np.einsum("ij,ij->i", queries32, queries32)
-        return (
-            self._sqnorms32[start:stop][None, :]
-            + q_sq[:, None]
-            - 2.0 * tile
-        )
-
-    def _search_prepared(
+    def search(
         self, query: np.ndarray, n: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        ids, scores = self._search_batch_prepared(query[None, :], n)
-        return ids[0], scores[0]
+        """The ``min(n, |V|)`` best rows for one query.
 
-    @staticmethod
-    def _compress(
-        run_ids: np.ndarray, run_neg: np.ndarray, n: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Keep each row's n smallest negated scores (= n best)."""
-        sel = np.argpartition(run_neg, n - 1, axis=1)[:, :n]
-        return (
-            np.take_along_axis(run_ids, sel, axis=1),
-            np.take_along_axis(run_neg, sel, axis=1),
+        Returns ``(ids, scores)`` sorted best-first; ``n <= 0`` returns
+        empty arrays rather than misbehaving.
+        """
+        if n <= 0:
+            return (np.empty(0, dtype=np.int64), np.empty(0))
+        query = self._prepare_query(query)
+        traced = not self.tracer.null and current_exemplar() is not None
+        if not self._measure and not traced:
+            return self._search_prepared(query, n)
+        exemplar = current_exemplar()
+        started = time.perf_counter()
+        if traced:
+            with self.tracer.span("index.search", backend=self.name):
+                ids, scores = self._search_prepared(query, n)
+        else:
+            ids, scores = self._search_prepared(query, n)
+        self._search_seconds.observe(
+            time.perf_counter() - started, exemplar=exemplar
         )
+        self._queries_total.inc()
+        return ids, scores
 
-    def _search_batch_prepared(
-        self, queries: np.ndarray, n: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        queries32 = np.ascontiguousarray(queries, dtype=np.float32)
-        batch = queries32.shape[0]
-        size = len(self)
-        n = min(n, size)
+    def scores_all(self, query: np.ndarray) -> np.ndarray:
+        """Scores of the query against **every** row (exhaustive)."""
+        query = self._prepare_query(query)
         if self._measure:
-            self._scanned_total.inc(size * batch)
-        neg_queries32 = -queries32
-        # Per-block top-n candidates accumulate and are compressed back
-        # to n lazily (at 4n, not every block): fewer argpartition
-        # passes, still O(n) candidate memory per row.
-        ids_parts: list[np.ndarray] = []
-        neg_parts: list[np.ndarray] = []
-        pending_cols = 0
-        for start in range(0, size, self.block_rows):
-            stop = min(start + self.block_rows, size)
-            neg_tile = self._block_neg_scores(
-                queries32, neg_queries32, start, stop
-            )
-            keep = min(n, stop - start)
-            if keep < stop - start:
-                part = np.argpartition(
-                    neg_tile, keep - 1, axis=1
-                )[:, :keep]
-                ids_parts.append(part + start)
-                neg_parts.append(
-                    np.take_along_axis(neg_tile, part, axis=1)
-                )
-            else:
-                ids_parts.append(
-                    np.broadcast_to(
-                        np.arange(start, stop), (batch, stop - start)
-                    )
-                )
-                neg_parts.append(neg_tile)
-            pending_cols += keep
-            if pending_cols >= 4 * n and len(neg_parts) > 1:
-                merged_ids, merged_neg = self._compress(
-                    np.concatenate(ids_parts, axis=1),
-                    np.concatenate(neg_parts, axis=1),
-                    n,
-                )
-                ids_parts, neg_parts = [merged_ids], [merged_neg]
-                pending_cols = n
-        run_ids = np.concatenate(ids_parts, axis=1)
-        run_neg = np.concatenate(neg_parts, axis=1)
-        if run_neg.shape[1] > n:
-            run_ids, run_neg = self._compress(run_ids, run_neg, n)
-        # Final best-first order; ties broken stably by candidate slot.
-        order = np.argsort(run_neg, axis=1, kind="stable")
-        return (
-            np.take_along_axis(run_ids, order, axis=1),
-            -np.take_along_axis(run_neg, order, axis=1).astype(
-                np.float64
-            ),
+            self._queries_total.inc()
+            self._scanned_total.inc(len(self))
+        return self._scores_all_prepared(query)
+
+    def _scores_all_prepared(self, query: np.ndarray) -> np.ndarray:
+        if self.metric == "cosine":
+            return self._vectors @ query
+        deltas = self._vectors - query
+        return -np.einsum("ij,ij->i", deltas, deltas)
+
+    # -- persistence -----------------------------------------------------------
+
+    def describe(self) -> dict:
+        """Backend and shape, as recorded in generation manifests."""
+        return {
+            "backend": self.name,
+            "metric": self.metric,
+            "size": len(self),
+            "dim": self.dim,
+        }
+
+    def save(self, path: str | Path, compress: bool = True) -> None:
+        """Serialize the index (``.npz``, atomic + digest-stable).
+
+        The archive holds the stored vector matrix (already unit rows
+        for cosine) and a JSON header; a retrained observer restores it
+        with :func:`load_index` instead of rebuilding.
+        ``compress=False`` writes mappable members so a worker fleet can
+        :func:`load_index` the archive with ``mmap_mode="r"`` zero-copy.
+        """
+        header = {"format": INDEX_FORMAT, **self.describe()}
+        save_npz_deterministic(
+            path,
+            {
+                "vectors": self._vectors,
+                "header": np.frombuffer(
+                    json.dumps(header, sort_keys=True).encode("utf-8"),
+                    dtype=np.uint8,
+                ),
+            },
+            compress=compress,
         )
 
-    def _prepare_queries(self, queries: np.ndarray) -> np.ndarray:
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or queries.shape[1] != self.dim:
+
+def build_index(
+    vectors: np.ndarray,
+    metric: str = "cosine",
+    normalized: bool = False,
+    registry: MetricsRegistry | None = None,
+) -> ExactIndex:
+    """Build the serving index over ``vectors``.
+
+    The pipeline calls this (through its module global) for every model
+    it trains, so it is the one place an index build can be timed or,
+    in tests, forbidden.
+    """
+    return ExactIndex(
+        vectors, metric=metric, normalized=normalized, registry=registry
+    )
+
+
+def load_index(
+    path: str | Path,
+    registry: MetricsRegistry | None = None,
+    mmap_mode: str | None = None,
+) -> ExactIndex:
+    """Restore an index saved with :meth:`ExactIndex.save`.
+
+    Restoring never redoes build work: the archive holds the matrix the
+    index scans.  A header naming any backend other than ``exact``
+    (archives from builds that shipped ``ivf`` or ``blocked``) raises
+    ``ValueError``: those generations served other scores, so loading
+    their matrix here would not reproduce what they served.
+
+    ``mmap_mode="r"`` binds the index to read-only mapped views of the
+    archive (see :func:`~repro.utils.serialization.load_npz_mapped`):
+    N worker processes restoring the same archive share one physical
+    copy of the vector matrix through the OS page cache.
+    """
+    path = Path(path)
+    if mmap_mode is not None:
+        mapped = load_npz_mapped(path, mmap_mode=mmap_mode)
+        files = set(mapped)
+        get = mapped.__getitem__
+        closer = None
+    else:
+        npz = np.load(path, allow_pickle=False)
+        files = set(npz.files)
+        get = npz.__getitem__
+        closer = npz.close
+    try:
+        if "header" not in files:
+            raise ValueError(f"{path} is not a saved vector index")
+        header = json.loads(bytes(get("header")).decode("utf-8"))
+        if header.get("format") != INDEX_FORMAT:
             raise ValueError(
-                f"queries must be (batch, {self.dim}), "
-                f"got shape {queries.shape}"
+                f"{path}: unsupported index format "
+                f"{header.get('format')!r} (expected {INDEX_FORMAT})"
             )
-        if self.metric == "cosine":
-            return unit_rows(queries)
-        return queries
+        backend = header.get("backend")
+        if backend != ExactIndex.name:
+            raise ValueError(f"{path}: unknown index backend {backend!r}")
+        # Stored vectors are already normalized for cosine.
+        return ExactIndex(
+            get("vectors"), metric=header["metric"], normalized=True,
+            registry=registry,
+        )
+    finally:
+        if closer is not None:
+            closer()

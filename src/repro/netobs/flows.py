@@ -77,7 +77,7 @@ class FlowTable:
         self.max_flows = max_flows
         self.ip_only = ip_only
         self.quarantine = quarantine
-        # Rebindable, like VectorIndex.tracer: the observer binds its
+        # Rebindable, like ExactIndex.tracer: the observer binds its
         # tracer here so sampled ingests get a "netobs.flow" child span.
         self.tracer = NULL_TRACER
         self._flows: OrderedDict[tuple, bool] = OrderedDict()

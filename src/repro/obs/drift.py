@@ -18,8 +18,9 @@ stream-health anomaly detectors:
   collapse means the observed hostname mix changed wholesale;
 * **neighbour overlap@k** — for a seeded sample of hostnames present in
   both vocabularies, the mean overlap between each host's k nearest
-  neighbours in the two embedding spaces (queries go through the bound
-  :mod:`repro.index` backend, like every other similarity lookup);
+  neighbours in the two embedding spaces (queries go through each
+  space's bound :class:`~repro.index.ExactIndex`, like every other
+  similarity lookup);
 * **labelled coverage delta** — the relative change in how many labelled
   hosts (H_L) the embedding space contains; Eq. 4 has no vote without
   labelled neighbours;

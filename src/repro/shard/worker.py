@@ -26,6 +26,7 @@ but tests drive the same object in-process.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import queue as queue_module
 import time
@@ -44,9 +45,14 @@ from repro.obs.tracing import (
     span_to_wire,
 )
 from repro.shard.router import ShardRouter
+from repro.utils.serialization import atomic_write_text
 
 SHARD_CHECKPOINT_FORMAT = "repro-shard-checkpoint-v1"
 SHARD_TELEMETRY_FORMAT = "repro-shard-telemetry-v1"
+
+#: Longest an idle worker waits on its inbox before checking that its
+#: coordinator is still alive, when no telemetry interval bounds the wait.
+PARENT_CHECK_SECONDS = 1.0
 
 
 @dataclass
@@ -198,11 +204,7 @@ class ShardWorker:
             "emissions": self.emissions,
             "stream": self.stream.snapshot_state(),
         }
-        scratch = self.checkpoint_path.with_name(
-            self.checkpoint_path.name + ".tmp"
-        )
-        scratch.write_text(json.dumps(payload))
-        os.replace(scratch, self.checkpoint_path)
+        atomic_write_text(self.checkpoint_path, json.dumps(payload))
         self.last_checkpoint_wall = time.time()
 
     # -- ingestion ------------------------------------------------------------
@@ -337,6 +339,11 @@ def _worker_main(spec: WorkerSpec, inbox, outbox, telemetry=None) -> None:
       ``("done", shard_id, result)``, exit.
     * out ``("error", shard_id, traceback)`` on any failure, then exit
       nonzero so the coordinator can distinguish crash from kill.
+
+    An idle worker whose coordinator has died exits on its own.  A
+    coordinator killed by a signal never runs the ``atexit`` hook in
+    which multiprocessing terminates daemon children, so without this
+    check its workers would wait on their inboxes forever.
     """
     try:
         worker = ShardWorker(spec)
@@ -355,17 +362,25 @@ def _worker_main(spec: WorkerSpec, inbox, outbox, telemetry=None) -> None:
             emit_frame()
         last_telemetry = time.monotonic()
         since_checkpoint = 0
+        parent = multiprocessing.parent_process()
         while True:
             try:
                 message = inbox.get(
-                    timeout=interval if interval > 0 else None
+                    timeout=interval if interval > 0
+                    else PARENT_CHECK_SECONDS
                 )
             except queue_module.Empty:
-                # Idle heartbeat: no batch arrived within a telemetry
-                # interval.  A SIGSTOPped worker cannot reach this line,
-                # so heartbeat age cleanly separates stuck from idle.
-                emit_frame()
-                last_telemetry = time.monotonic()
+                if parent is not None and not parent.is_alive():
+                    # Nobody is left to read our queues, so skip the
+                    # feeder-thread joins a normal exit would block on.
+                    os._exit(0)
+                if interval > 0:
+                    # Idle heartbeat: no batch arrived within a telemetry
+                    # interval.  A SIGSTOPped worker cannot reach this
+                    # line, so heartbeat age cleanly separates stuck from
+                    # idle.
+                    emit_frame()
+                    last_telemetry = time.monotonic()
                 continue
             kind = message[0]
             if kind == "batch":

@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import os
 import tempfile
 import time
 import weakref
@@ -49,6 +48,7 @@ from repro.traffic.sessions import BrowsingModel, SessionConfig
 from repro.traffic.users import UserProfile
 from repro.traffic.web import SyntheticWeb
 from repro.utils.randomness import derive_rng
+from repro.utils.serialization import atomic_write_text
 from repro.utils.timeutils import DAY_SECONDS, HOUR_SECONDS
 
 
@@ -189,9 +189,7 @@ class GenerationCursor:
             "events_emitted": self.events_emitted,
             "config_digest": self.config_digest,
         }
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
-        os.replace(tmp, path)
+        atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
         return path
 
     @classmethod

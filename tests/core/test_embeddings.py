@@ -208,8 +208,7 @@ class TestZeroCopyLoad:
             mapped.vectors[0, 0] = 1.0
 
     def test_reuse_unit_rows_binds_index_matrix(self, toy, tmp_path):
-        from repro.index.base import load_index
-        from repro.index.exact import ExactIndex
+        from repro.index import ExactIndex, load_index
 
         path = tmp_path / "idx.npz"
         ExactIndex(toy.unit_vectors, metric="cosine", normalized=True).save(

@@ -182,8 +182,7 @@ class TestVectorizedParity:
 
     Profiles must be bitwise-identical to the historical per-neighbour
     ``host_of`` loop (the in-session-labelled exclusion moved to a vocab-id
-    mask), and the batched ``profile_sessions`` path must match the
-    sequential ``profile`` path window-for-window on the exact backend.
+    mask).
     """
 
     @staticmethod
@@ -261,25 +260,6 @@ class TestVectorizedParity:
             assert got.session_size == want.session_size
             non_empty += not got.is_empty
         assert non_empty > 0   # the comparison must exercise real votes
-
-    def test_profile_sessions_matches_sequential_bitwise(
-        self, embeddings, labelled, rng
-    ):
-        profiler = SessionProfiler(embeddings, labelled)
-        hosts = embeddings.vocabulary.hosts
-        sessions = [
-            [hosts[int(i)] for i in rng.integers(len(hosts), size=size)]
-            for size in (1, 3, 8, 20)
-        ]
-        sessions.append([])                      # empty window
-        sessions.append(["never-seen.example"])  # unknown hosts only
-        batched = profiler.profile_sessions(sessions)
-        assert len(batched) == len(sessions)
-        for session, got in zip(sessions, batched):
-            want = profiler.profile(session)
-            np.testing.assert_array_equal(got.categories, want.categories)
-            assert got.support == want.support
-            assert got.is_empty == want.is_empty
 
 
 class TestAmbientCache:

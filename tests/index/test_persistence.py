@@ -1,18 +1,13 @@
 """Tests for vector-index save/load (repro.index persistence)."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from repro.index import (
-    INDEX_FORMAT,
-    BlockedExactIndex,
-    ExactIndex,
-    IndexConfig,
-    build_index,
-    load_index,
-)
+import repro.index.exact as exact_module
+from repro.index import INDEX_FORMAT, ExactIndex, build_index, load_index
 
 
 def _matrix(size=64, dim=8, seed=0):
@@ -20,25 +15,23 @@ def _matrix(size=64, dim=8, seed=0):
     return rng.normal(size=(size, dim))
 
 
-def _build(backend, matrix, **kwargs):
-    return build_index(
-        matrix, metric="cosine",
-        config=IndexConfig(backend=backend, **kwargs),
-    )
+def _build(matrix):
+    return build_index(matrix, metric="cosine")
 
 
-BACKENDS = ("exact", "blocked")
+# Every archive this build writes names the one backend it can load.
+BACKENDS = (ExactIndex.name,)
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_search_results_survive_save_load(self, backend, tmp_path):
         matrix = _matrix()
-        index = _build(backend, matrix)
+        index = _build(matrix)
         path = tmp_path / "index.npz"
         index.save(path)
         loaded = load_index(path)
-        assert type(loaded) is type(index)
+        assert loaded.name == backend
         assert len(loaded) == len(index)
         assert loaded.dim == index.dim
         for seed in range(5):
@@ -48,30 +41,21 @@ class TestRoundTrip:
             assert ids.tolist() == loaded_ids.tolist()
             assert np.allclose(sims, loaded_sims)
 
-    def test_blocked_preserves_block_rows(self, tmp_path):
-        index = _build("blocked", _matrix(), block_rows=7)
-        index.save(tmp_path / "index.npz")
-        loaded = load_index(tmp_path / "index.npz")
-        assert isinstance(loaded, BlockedExactIndex)
-        assert loaded.block_rows == 7
-
     def test_load_does_not_rebuild(self, tmp_path, monkeypatch):
-        index = _build("blocked", _matrix(size=128), block_rows=16)
+        index = _build(_matrix(size=128))
         index.save(tmp_path / "index.npz")
 
         def explode(*args, **kwargs):
             raise AssertionError("load must not rebuild the index")
 
-        import repro.index.base as base_module
-
-        monkeypatch.setattr(base_module, "build_index", explode)
+        monkeypatch.setattr(exact_module, "build_index", explode)
         loaded = load_index(tmp_path / "index.npz")
         query = _matrix(size=1, dim=8, seed=9)[0]
         ids, _ = loaded.search(query, 5)
         assert ids.tolist() == index.search(query, 5)[0].tolist()
 
     def test_describe_names_backend(self):
-        index = _build("exact", _matrix())
+        index = _build(_matrix())
         meta = index.describe()
         assert meta["backend"] == "exact"
         assert meta["size"] == 64 and meta["dim"] == 8
@@ -80,8 +64,8 @@ class TestRoundTrip:
 class TestDeterminism:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_saving_twice_yields_identical_bytes(self, backend, tmp_path):
-        matrix = _matrix()
-        index = _build(backend, matrix)
+        index = _build(_matrix())
+        assert index.name == backend
         first, second = tmp_path / "a.npz", tmp_path / "b.npz"
         index.save(first)
         index.save(second)
@@ -92,9 +76,24 @@ class TestDeterminism:
         # identically — the property the store's digests depend on.
         matrix = _matrix()
         first, second = tmp_path / "a.npz", tmp_path / "b.npz"
-        _build("exact", matrix).save(first)
-        _build("exact", matrix).save(second)
+        _build(matrix).save(first)
+        _build(matrix).save(second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_archive_bytes_are_pinned(self, tmp_path):
+        """The archive format published generations and shard exports
+        carry: header JSON and mappable bytes fixed for a seeded matrix."""
+        path = tmp_path / "index.npz"
+        ExactIndex(_matrix()).save(path, compress=False)
+        with np.load(path) as archive:
+            assert sorted(archive.files) == ["header", "vectors"]
+            assert bytes(archive["header"]).decode() == (
+                '{"backend": "exact", "dim": 8, "format": "repro-index-v1",'
+                ' "metric": "cosine", "size": 64}'
+            )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "187dbd273bb50e5c6bd22766fb2e0c4d936816476185502d3f81a61911274001"
+        )
 
 
 class TestLoadValidation:
@@ -116,15 +115,19 @@ class TestLoadValidation:
             load_index(path)
 
     def test_unknown_backend_rejected(self, tmp_path):
-        # An archive from a build that shipped a third backend.
-        path = tmp_path / "index.npz"
-        header = json.dumps(
-            {"format": INDEX_FORMAT, "backend": "ivf", "metric": "cosine"}
-        ).encode()
-        np.savez(
-            path,
-            header=np.frombuffer(header, dtype=np.uint8),
-            vectors=np.zeros((2, 2)),
-        )
-        with pytest.raises(ValueError, match="unknown index backend 'ivf'"):
-            load_index(path)
+        # Archives from builds that shipped another backend.
+        for backend in ("ivf", "blocked"):
+            path = tmp_path / f"{backend}.npz"
+            header = json.dumps(
+                {"format": INDEX_FORMAT, "backend": backend,
+                 "metric": "cosine"}
+            ).encode()
+            np.savez(
+                path,
+                header=np.frombuffer(header, dtype=np.uint8),
+                vectors=np.zeros((2, 2)),
+            )
+            with pytest.raises(
+                ValueError, match=f"unknown index backend '{backend}'"
+            ):
+                load_index(path)

@@ -9,7 +9,6 @@ from repro.core.pipeline import NetworkObserverProfiler, PipelineConfig
 from repro.core.skipgram import SkipGramConfig
 from repro.core.streaming import StreamingConfig, StreamingProfiler
 from repro.core.supervisor import RetrainSupervisor, SupervisorConfig
-from repro.index import IndexConfig
 from repro.obs.drift import (
     DriftConfig,
     DriftMonitor,
@@ -27,10 +26,7 @@ from repro.utils.serialization import atomic_write_json
 def _pipeline(labelled, tracker_filter, seed=0):
     return NetworkObserverProfiler(
         labelled,
-        config=PipelineConfig(
-            skipgram=SkipGramConfig(epochs=2, seed=seed),
-            index=IndexConfig(backend="exact"),
-        ),
+        config=PipelineConfig(skipgram=SkipGramConfig(epochs=2, seed=seed)),
         tracker_filter=tracker_filter,
     )
 

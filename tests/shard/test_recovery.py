@@ -11,8 +11,14 @@ from __future__ import annotations
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import pytest
+
+import repro
 from repro.shard import SHARD_CHECKPOINT_FORMAT, ShardCoordinator
 
 from tests.shard.conftest import STREAM_CONFIG
@@ -124,3 +130,72 @@ def test_poll_reports_and_heals_idle_deaths(
         assert coordinator.poll() == []
     finally:
         coordinator.terminate()
+
+
+#: A coordinator process: start two idle workers, report their pids,
+#: then wait to be killed.
+_COORDINATOR_CHILD = """
+import json, sys, time
+from repro.shard import ShardCoordinator
+
+coordinator = ShardCoordinator(
+    2, checkpoint_dir=sys.argv[1],
+    telemetry_interval_seconds=float(sys.argv[2]),
+)
+coordinator.start()
+print(json.dumps([state.process.pid for state in coordinator._shards]))
+sys.stdout.flush()
+time.sleep(300)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/status") as status:
+            for line in status:
+                if line.startswith("State:"):
+                    return line.split()[1] != "Z"
+    except FileNotFoundError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+@pytest.mark.parametrize("telemetry_interval", [0.0, 1.0])
+def test_sigterm_to_coordinator_does_not_orphan_workers(
+    tmp_path, telemetry_interval
+):
+    """SIGTERM kills a coordinator without running its ``atexit``
+    cleanup, so each idle worker must notice on its own that its parent
+    is gone and exit, with or without a telemetry heartbeat."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, env.get("PYTHONPATH")) if path
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-c", _COORDINATOR_CHILD, str(tmp_path),
+         str(telemetry_interval)],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    pids: list[int] = []
+    try:
+        line = child.stdout.readline()
+        assert line, "the coordinator exited before its workers were ready"
+        pids = json.loads(line)
+        assert len(pids) == 2 and all(_running(pid) for pid in pids)
+        child.send_signal(signal.SIGTERM)
+        child.wait(timeout=30)
+        deadline = time.monotonic() + 15
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        survivors = [pid for pid in pids if _running(pid)]
+        assert not survivors, f"workers {survivors} outlived their coordinator"
+    finally:
+        child.kill()
+        child.wait(timeout=30)
+        child.stdout.close()
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -52,10 +52,10 @@ class TestPublish:
     def test_index_meta_and_extra_land_in_manifest(self, store):
         record = _publish(
             store,
-            index_meta={"backend": "blocked", "block_rows": 4096},
+            index_meta={"kind": "made-up", "knob": 4096},
             extra={"dim": 32},
         )
-        assert record.index_meta == {"backend": "blocked", "block_rows": 4096}
+        assert record.index_meta == {"kind": "made-up", "knob": 4096}
         assert record.extra == {"dim": 32}
 
     def test_empty_components_rejected(self, store):

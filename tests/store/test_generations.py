@@ -11,7 +11,7 @@ from repro.core.pipeline import NetworkObserverProfiler, PipelineConfig
 from repro.core.skipgram import SkipGramConfig, SkipGramModel
 from repro.core.streaming import StreamingConfig, StreamingProfiler
 from repro.core.supervisor import RetrainSupervisor, SupervisorConfig
-from repro.index import INDEX_FORMAT, IndexConfig
+from repro.index import INDEX_FORMAT
 from repro.netobs.flows import HostnameEvent
 from repro.store import (
     EMBEDDINGS_COMPONENT,
@@ -23,13 +23,10 @@ from repro.store import (
 from repro.utils.timeutils import minutes
 
 
-def _pipeline(labelled, tracker_filter, backend="blocked", seed=0):
+def _pipeline(labelled, tracker_filter, seed=0):
     return NetworkObserverProfiler(
         labelled,
-        config=PipelineConfig(
-            skipgram=SkipGramConfig(epochs=2, seed=seed),
-            index=IndexConfig(backend=backend),
-        ),
+        config=PipelineConfig(skipgram=SkipGramConfig(epochs=2, seed=seed)),
         tracker_filter=tracker_filter,
     )
 
@@ -51,7 +48,7 @@ def store(tmp_path):
 
 @pytest.fixture(scope="module")
 def trained(trace, labelled, tracker_filter):
-    """One blocked-index pipeline trained on day 0, shared read-only."""
+    """One pipeline trained on day 0, shared read-only."""
     pipeline = _pipeline(labelled, tracker_filter)
     pipeline.train_on_day(trace, 0)
     return pipeline
@@ -72,8 +69,10 @@ class TestPublishLoadRoundTrip:
             EMBEDDINGS_COMPONENT, INDEX_COMPONENT, PROFILER_CONFIG_COMPONENT,
         ):
             assert record.has_component(name)
-        assert record.index_meta["backend"] == "blocked"
-        assert record.index_meta["block_rows"] == 8192
+        assert record.index_meta == {
+            "backend": "exact", "metric": "cosine",
+            "size": len(trained.embeddings), "dim": trained.embeddings.dim,
+        }
         assert record.extra["vocabulary_size"] == len(trained.embeddings)
 
     def test_fresh_pipeline_serves_identical_profiles(
@@ -89,7 +88,7 @@ class TestPublishLoadRoundTrip:
         assert restored.is_trained
         got = restored.profile_session(session)
         np.testing.assert_allclose(got.categories, expected.categories)
-        assert restored.profiler.index_backend == "blocked"
+        assert restored.profiler.index_backend == "exact"
 
     def test_load_does_not_rebuild(
         self, trained, store, labelled, tracker_filter, monkeypatch
@@ -101,12 +100,15 @@ class TestPublishLoadRoundTrip:
         session = trained.embeddings.vocabulary.hosts[:4]
         assert restored.profile_session(session).categories is not None
 
+    @pytest.mark.parametrize("backend", ["ivf", "blocked", None])
     def test_unknown_index_backend_keeps_previous_model(
-        self, trained, store, labelled, tracker_filter
+        self, trained, store, labelled, tracker_filter, backend
     ):
-        """A generation from an older build whose index archive names a
-        backend this build does not have is refused, and the pipeline
-        keeps serving the model it already had."""
+        """A generation this build cannot serve is refused, and the
+        pipeline keeps serving the model it already had: an index
+        archive naming a backend from an older build (``ivf``, or
+        ``blocked``, which scored in float32), or no index archive at
+        all (``None``)."""
         trained.publish_generation(store, day=0)
         pipeline = _pipeline(labelled, tracker_filter)
         pipeline.load_generation(store)
@@ -115,7 +117,8 @@ class TestPublishLoadRoundTrip:
         def write_index(path):
             vectors = trained.embeddings.index.vectors
             header = json.dumps({
-                "format": INDEX_FORMAT, "backend": "ivf", "metric": "cosine",
+                "format": INDEX_FORMAT, "backend": backend,
+                "metric": "cosine",
                 "size": len(vectors), "dim": vectors.shape[1],
             }).encode()
             np.savez(
@@ -124,14 +127,15 @@ class TestPublishLoadRoundTrip:
                 vectors=vectors,
             )
 
-        store.publish(
-            {
-                EMBEDDINGS_COMPONENT: trained.embeddings.save,
-                INDEX_COMPONENT: write_index,
-            },
-            index_meta={"backend": "ivf"},
-        )
-        with pytest.raises(ValueError, match="unknown index backend 'ivf'"):
+        components = {EMBEDDINGS_COMPONENT: trained.embeddings.save}
+        if backend is None:
+            error, match = FileNotFoundError, INDEX_COMPONENT
+        else:
+            components[INDEX_COMPONENT] = write_index
+            error = ValueError
+            match = f"unknown index backend '{backend}'"
+        store.publish(components, index_meta={"backend": backend})
+        with pytest.raises(error, match=match):
             pipeline.load_generation(store)
         assert pipeline.profiler is serving
 
@@ -202,7 +206,7 @@ class TestKillAndRestore:
             checkpoint, store=store, pipeline=fresh
         )
         assert resumed.has_model
-        assert resumed.index_backend == "blocked"
+        assert resumed.index_backend == "exact"
 
         tail = resumed.ingest_many(events[cut:])
         assert len(tail) == len(expected_tail)
@@ -256,7 +260,7 @@ class TestSupervisorStore:
     def test_each_retrain_publishes_a_generation(
         self, trace, store, labelled, tracker_filter
     ):
-        pipeline = _pipeline(labelled, tracker_filter, backend="exact")
+        pipeline = _pipeline(labelled, tracker_filter)
         supervisor = self._supervisor(pipeline, store)
         first = supervisor.retrain(trace, 0)
         second = supervisor.retrain(trace, 1)
@@ -269,7 +273,7 @@ class TestSupervisorStore:
     def test_validation_failure_rolls_back_to_previous(
         self, trace, store, labelled, tracker_filter
     ):
-        pipeline = _pipeline(labelled, tracker_filter, backend="exact")
+        pipeline = _pipeline(labelled, tracker_filter)
         verdicts = iter([True, False])
         supervisor = self._supervisor(
             pipeline, store, validate=lambda p: next(verdicts)
@@ -296,7 +300,7 @@ class TestSupervisorStore:
     def test_first_generation_rejection_empties_store(
         self, trace, store, labelled, tracker_filter
     ):
-        pipeline = _pipeline(labelled, tracker_filter, backend="exact")
+        pipeline = _pipeline(labelled, tracker_filter)
         supervisor = self._supervisor(
             pipeline, store, validate=lambda p: False
         )
@@ -309,7 +313,7 @@ class TestSupervisorStore:
     def test_stream_keeps_old_model_through_rollback(
         self, trace, store, labelled, tracker_filter
     ):
-        pipeline = _pipeline(labelled, tracker_filter, backend="exact")
+        pipeline = _pipeline(labelled, tracker_filter)
         stream = StreamingProfiler(StreamingConfig())
         verdicts = iter([True, False])
         supervisor = RetrainSupervisor(
@@ -326,7 +330,7 @@ class TestSupervisorStore:
     def test_publish_failure_does_not_fail_the_retrain(
         self, trace, store, labelled, tracker_filter, monkeypatch
     ):
-        pipeline = _pipeline(labelled, tracker_filter, backend="exact")
+        pipeline = _pipeline(labelled, tracker_filter)
         supervisor = self._supervisor(pipeline, store)
 
         def explode(self, *args, **kwargs):
@@ -342,7 +346,7 @@ class TestSupervisorStore:
     def test_validation_pass_keeps_generation(
         self, trace, store, labelled, tracker_filter
     ):
-        pipeline = _pipeline(labelled, tracker_filter, backend="exact")
+        pipeline = _pipeline(labelled, tracker_filter)
         supervisor = self._supervisor(
             pipeline, store, validate=lambda p: p.is_trained
         )

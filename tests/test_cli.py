@@ -41,9 +41,6 @@ class TestParser:
             ["train", "--metrics-out", "m.json", "--trace-out", "t.json"],
             ["observe", "c.pcap", "--metrics-out", "m.prom"],
             ["metrics-dump", "m.json", "--grep", "stream_"],
-            ["neighbours", "v.npz", "a.com", "--index-backend", "blocked"],
-            ["experiment", "--index-backend", "blocked"],
-            ["stream", "c.pcap", "--train", "--index-backend", "blocked"],
             ["train", "--store", "models"],
             ["stream", "c.pcap", "--store", "models"],
             ["experiment", "--store", "models"],
@@ -78,20 +75,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["store", "drop-everything", "models"])
 
-    def test_unknown_index_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["neighbours", "v.npz", "a.com",
-                 "--index-backend", "faiss"]
-            )
-
-    def test_removed_ivf_backend_rejected(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment"],
+            ["train"],
+            ["neighbours", "v.npz", "a.com"],
+            ["stream", "c.pcap", "--train"],
+        ],
+    )
+    def test_index_backend_option_removed(self, argv, capsys):
+        """There is one vector index, so no command selects one."""
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(
-                ["stream", "c.pcap", "--index-backend", "ivf"]
-            )
+            build_parser().parse_args([*argv, "--index-backend", "exact"])
         assert exc.value.code == 2
-        assert "invalid choice: 'ivf'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --index-backend exact" in err
 
     def test_unknown_drift_injection_rejected(self):
         with pytest.raises(SystemExit):
@@ -137,27 +136,6 @@ class TestCommands:
         first_line = out_path.read_text().splitlines()[0]
         count, dim = first_line.split()
         assert int(count) > 0 and int(dim) == 100
-
-    def test_neighbours_index_backends_agree(self, tmp_path, capsys):
-        """Every --index-backend answers the same nearest-host query."""
-        out_path = tmp_path / "emb.npz"
-        main(["train", *self.WORLD, "--epochs", "2",
-              "--output", str(out_path)])
-        from repro.core import HostnameEmbeddings
-
-        host = HostnameEmbeddings.load(out_path).vocabulary.host_of(0)
-        outputs = {}
-        for backend in ("exact", "blocked"):
-            capsys.readouterr()
-            assert main(
-                ["neighbours", str(out_path), host, "-n", "3",
-                 "--index-backend", backend]
-            ) == 0
-            lines = capsys.readouterr().out.strip().splitlines()
-            assert len(lines) == 3
-            outputs[backend] = [line.split()[-1] for line in lines]
-        # blocked is exhaustive too: same hosts as exact, same order
-        assert outputs["blocked"] == outputs["exact"]
 
     def test_neighbours_unknown_host(self, tmp_path, capsys):
         out_path = tmp_path / "emb.npz"
