@@ -216,10 +216,9 @@ def _start_fleet(args, pipeline=None, admin=None, **coordinator_kwargs):
     """Start the ``--workers`` shard fleet; returns the coordinator and an
     ExitStack whose close terminates it and deletes its temporary dirs.
 
-    A trained ``pipeline`` is exported once as a mappable directory every
-    worker binds read-only (one copy of the model pages for the whole
-    fleet); without ``--shard-dir`` the per-shard checkpoints go to a
-    private temporary directory.
+    A trained ``pipeline`` is exported once as a model directory every
+    worker loads; without ``--shard-dir`` the per-shard checkpoints go
+    to a private temporary directory.
     """
     import tempfile
 
@@ -451,18 +450,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"saved {len(embeddings)} vectors to {output}")
     store = _open_store(args, registry, tracer)
     if store is not None:
-        from repro.index import build_index
         from repro.store import publish_model
 
-        index = build_index(
-            embeddings.unit_vectors,
-            metric="cosine",
-            normalized=True,
-            registry=registry,
-        )
-        embeddings.bind_index(index)
         record = publish_model(
-            store, embeddings, index,
+            store, embeddings,
             created_from_day=args.days - 1,
             extra={"vocabulary_size": len(embeddings),
                    "dim": embeddings.dim},

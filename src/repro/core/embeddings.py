@@ -28,8 +28,6 @@ class HostnameEmbeddings:
         vocabulary: Vocabulary,
         context_vectors: np.ndarray | None = None,
     ):
-        # asarray is a no-copy view for float64 input, so a read-only
-        # np.memmap passed by the sharded runtime stays mapped here.
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise ValueError("vectors must be a 2-D matrix")
@@ -89,18 +87,8 @@ class HostnameEmbeddings:
             )
         return self._index
 
-    def bind_index(
-        self, index: ExactIndex, reuse_unit_rows: bool = False
-    ) -> None:
-        """Attach a prebuilt index (the daily retrain swaps one in).
-
-        ``reuse_unit_rows=True`` additionally adopts the index's stored
-        matrix as the cached unit-row matrix.  A cosine index persists
-        exactly the row-normalized embedding matrix, so this is bitwise
-        equivalent to recomputing it — but when the index was loaded
-        ``mmap_mode="r"`` it keeps every worker process on the shared
-        mapped pages instead of materializing a private |V| x d copy.
-        """
+    def bind_index(self, index: ExactIndex) -> None:
+        """Attach a prebuilt index (the daily retrain swaps one in)."""
         if len(index) != len(self):
             raise ValueError(
                 f"index size {len(index)} != vocabulary size {len(self)}"
@@ -108,8 +96,6 @@ class HostnameEmbeddings:
         if index.metric != "cosine":
             raise ValueError("embeddings require a cosine index")
         self._index = index
-        if reuse_unit_rows:
-            self._unit = index.vectors
 
     # -- similarity --------------------------------------------------------------
 
@@ -193,16 +179,16 @@ class HostnameEmbeddings:
     #: can never permute host→row alignment through a round-trip.
     FORMAT_VERSION = 2
 
-    def save(self, path: str | Path, compress: bool = True) -> None:
+    def save(self, path: str | Path) -> None:
         """Serialize to an ``.npz`` archive (vectors + vocabulary + counts).
 
-        Crash-safe and digest-stable: the archive is written to a
-        ``.tmp`` sibling and ``os.replace``d into place (a crash mid-write
-        can no longer leave a corrupt file at the final path), with
-        deterministic bytes so saving the same model twice yields the
-        same SHA-256 (the artifact store's manifests rely on this).
-        ``compress=False`` writes mappable members so worker fleets can
-        :meth:`load` the archive with ``mmap_mode="r"`` zero-copy.
+        This archive is the whole served model: a loader rebuilds the
+        cosine index from its rows.  Crash-safe and digest-stable: the
+        archive is written to a ``.tmp`` sibling and ``os.replace``d
+        into place (a crash mid-write can no longer leave a corrupt file
+        at the final path), with deterministic bytes so saving the same
+        model twice yields the same SHA-256 (the artifact store's
+        manifests rely on this).
         """
         save_npz_deterministic(
             Path(path),
@@ -214,61 +200,38 @@ class HostnameEmbeddings:
                 "hosts": np.asarray(self.vocabulary.hosts, dtype=np.str_),
                 "counts": self.vocabulary.counts.astype(np.int64),
             },
-            compress=compress,
         )
 
     @classmethod
-    def load(
-        cls, path: str | Path, mmap_mode: str | None = None
-    ) -> "HostnameEmbeddings":
+    def load(cls, path: str | Path) -> "HostnameEmbeddings":
         """Load a saved archive.
 
         The deterministic npz format never contains pickled members, so
-        loading is strict (``allow_pickle=False``).  ``mmap_mode="r"``
-        maps the vector matrix read-only straight from the file via
-        :func:`~repro.utils.serialization.load_npz_mapped` — N worker
-        processes loading the same archive then share one physical copy
-        of the model pages.
+        loading is strict (``allow_pickle=False``).  Archives with
+        deflated members, as older builds wrote them, load the same way.
         """
         from collections import Counter
 
-        from repro.utils.serialization import load_npz_mapped
-
-        path = Path(path)
-        if mmap_mode is not None:
-            mapped = load_npz_mapped(path, mmap_mode=mmap_mode)
-            archive_files = set(mapped)
-            get = mapped.__getitem__
-            closer = None
-        else:
-            npz = np.load(path, allow_pickle=False)
-            archive_files = set(npz.files)
-            get = npz.__getitem__
-            closer = npz.close
-        try:
-            hosts = [str(h) for h in get("hosts")]
-            counts = [int(c) for c in get("counts")]
-            if "format_version" in archive_files:
+        with np.load(Path(path), allow_pickle=False) as archive:
+            hosts = [str(h) for h in archive["hosts"]]
+            counts = [int(c) for c in archive["counts"]]
+            if "format_version" in archive.files:
                 # v2+: the saved row order is authoritative; rebuild the
                 # vocabulary in place so save → load is bitwise-identical
                 # even when counts tie.
                 vocabulary = Vocabulary.from_ordered(
                     hosts, counts, min_count=1
                 )
-                vectors = np.asarray(get("vectors"), dtype=np.float64)
+                vectors = archive["vectors"]
             else:
                 # Legacy v1 archives: Vocabulary re-sorts by count, so
-                # realign the vector rows to the rebuilt order (a copy,
-                # mapped or not — v1 predates zero-copy sharing).
+                # realign the vector rows to the rebuilt order.
                 vocabulary = Vocabulary(
                     Counter(dict(zip(hosts, counts))), min_count=1
                 )
                 row_of = {host: row for row, host in enumerate(hosts)}
                 order = [row_of[h] for h in vocabulary.hosts]
-                vectors = get("vectors")[order]
-        finally:
-            if closer is not None:
-                closer()
+                vectors = archive["vectors"][order]
         return cls(vectors, vocabulary)
 
     def save_word2vec_format(self, path: str | Path) -> None:

@@ -22,7 +22,7 @@ from repro.core.embeddings import HostnameEmbeddings
 from repro.core.profiler import SessionProfile, SessionProfiler
 from repro.core.session import SessionExtractor, SessionWindow
 from repro.core.skipgram import SkipGramConfig, SkipGramModel, TrainStats
-from repro.index import ExactIndex, build_index, load_index
+from repro.index import ExactIndex, build_index
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.traffic.blocklists import TrackerFilter
@@ -205,21 +205,20 @@ class NetworkObserverProfiler:
     ) -> "GenerationRecord":
         """Publish the serving model as one atomic store generation.
 
-        Embeddings, the bound vector index, and the profiler config land
-        in a single transaction (scratch dir + rename), so a reader never
-        observes embeddings from one retrain next to the index of
-        another.  Together with :meth:`StreamingProfiler.checkpoint` this
-        is the observer's complete crash-recovery state: session windows
-        in the stream checkpoint, the model in the store.  When the
-        supervisor ran a drift check, its report (a plain dict) is
-        published alongside as the ``drift.json`` component.
+        The embeddings archive and the profiler config land in a single
+        transaction (scratch dir + rename), so a reader never observes
+        the archive of one retrain next to the serving knobs of another.
+        Together with :meth:`StreamingProfiler.checkpoint` this is the
+        observer's complete crash-recovery state: session windows in the
+        stream checkpoint, the model in the store.  When the supervisor
+        ran a drift check, its report (a plain dict) is published
+        alongside as the ``drift.json`` component.
         """
         from repro.store import publish_model
 
         return publish_model(
             store,
             self.embeddings,
-            self.embeddings.index,
             profiler_config=self._profiler_config(),
             created_from_day=day,
             extra={
@@ -233,93 +232,79 @@ class NetworkObserverProfiler:
         self,
         store: "ArtifactStore",
         generation_id: str | None = None,
-        mmap_mode: str | None = None,
     ) -> "GenerationRecord":
         """Serve a stored generation (``latest`` unless named).
 
         Every component is digest-verified before deserialization, then
-        the generation directory is served by :meth:`load_model_dir`:
-        the saved index is *loaded*, not rebuilt, and the session
-        profiler is reassembled from the generation's own config, so the
-        restored observer scores sessions exactly as the one that
-        published.  A generation that cannot be served (no index
-        archive, or one naming a backend this build does not have)
-        raises, and the model already serving stays in place.
-
-        ``mmap_mode="r"`` loads the embedding and index matrices as
-        read-only maps (zero-copy across worker processes); it only
-        pays off on archives written ``compress=False`` — compressed
-        members silently fall back to eager read-only loads.
+        the generation directory is served by :meth:`load_model_dir`,
+        so the restored observer scores sessions exactly as the one
+        that published.  A generation whose manifest names an index
+        backend other than ``exact`` (``ivf`` or ``blocked``, from older
+        builds) served other scores, so it is refused before anything
+        loads, and the model already serving stays in place.
         """
         record = store.restore(generation_id)
-        self.load_model_dir(record.path, mmap_mode=mmap_mode)
+        backend = record.index_meta.get("backend", ExactIndex.name)
+        if backend != ExactIndex.name:
+            raise ValueError(
+                f"generation {record.generation_id}: unknown index "
+                f"backend {backend!r}"
+            )
+        self.load_model_dir(record.path)
         return record
 
-    def export_model_dir(
-        self, directory, compress: bool = False
-    ) -> "Path":
-        """Write the serving model to a plain directory, mappable.
+    def export_model_dir(self, directory) -> "Path":
+        """Write the serving model to a plain directory.
 
         The sharded runtime's coordinator calls this once per fleet:
-        ``embeddings.npz`` + ``index.npz`` (``compress=False`` by
-        default, so workers can map them read-only and share one copy
-        of the pages) + ``profiler.json``.  Same component names as a
-        store generation, no store required.
+        ``embeddings.npz`` + ``profiler.json``, the same component names
+        as a store generation, no store required.
         """
         from pathlib import Path as _Path
 
         from repro.store import (
             EMBEDDINGS_COMPONENT,
-            INDEX_COMPONENT,
             PROFILER_CONFIG_COMPONENT,
         )
         from repro.utils.serialization import atomic_write_json
 
         directory = _Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        self.embeddings.save(
-            directory / EMBEDDINGS_COMPONENT, compress=compress
-        )
-        self.embeddings.index.save(
-            directory / INDEX_COMPONENT, compress=compress
-        )
+        self.embeddings.save(directory / EMBEDDINGS_COMPONENT)
         atomic_write_json(
             directory / PROFILER_CONFIG_COMPONENT, self._profiler_config()
         )
         return directory
 
-    def load_model_dir(
-        self, directory, mmap_mode: str | None = "r"
-    ) -> None:
+    def load_model_dir(self, directory) -> None:
         """Serve the model in ``directory`` (an export or a generation).
 
         The one model loader: :meth:`load_generation` calls it after
         verifying digests, and each shard worker calls it on the
-        coordinator's export.  Defaults to ``mmap_mode="r"`` so every
-        worker process binds read-only maps of the same archive files.
-        Nothing is swapped in until every component has loaded.
+        coordinator's export.  The cosine index is built over the
+        archive's unit rows exactly as a retrain builds it, but directly
+        rather than through :func:`build_index`, so
+        ``index_rebuilds_total`` keeps counting retrains only.  An
+        ``index.npz`` left by older builds is ignored.  Nothing is
+        swapped in until every component has loaded.
         """
         import json as _json
         from pathlib import Path as _Path
 
         from repro.store import (
             EMBEDDINGS_COMPONENT,
-            INDEX_COMPONENT,
             PROFILER_CONFIG_COMPONENT,
         )
 
         directory = _Path(directory)
-        embeddings = HostnameEmbeddings.load(
-            directory / EMBEDDINGS_COMPONENT, mmap_mode=mmap_mode
-        )
-        index = load_index(
-            directory / INDEX_COMPONENT,
+        embeddings = HostnameEmbeddings.load(directory / EMBEDDINGS_COMPONENT)
+        index = ExactIndex(
+            embeddings.unit_vectors,
+            metric="cosine",
+            normalized=True,
             registry=self.registry,
-            mmap_mode=mmap_mode,
         )
-        embeddings.bind_index(
-            index, reuse_unit_rows=mmap_mode is not None
-        )
+        embeddings.bind_index(index)
         serving = self._profiler_config()
         config_path = directory / PROFILER_CONFIG_COMPONENT
         if config_path.exists():

@@ -9,21 +9,17 @@ show before it comes back.
 """
 
 from repro.index.exact import (
-    INDEX_FORMAT,
     METRICS,
     ExactIndex,
     build_index,
-    load_index,
     top_ids_desc,
     unit_rows,
 )
 
 __all__ = [
-    "INDEX_FORMAT",
     "METRICS",
     "ExactIndex",
     "build_index",
-    "load_index",
     "top_ids_desc",
     "unit_rows",
 ]

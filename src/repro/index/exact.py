@@ -16,9 +16,7 @@ compute, and one ordering rule serves both metrics).
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -28,12 +26,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.tracing import NULL_TRACER, current_exemplar
-from repro.utils.serialization import load_npz_mapped, save_npz_deterministic
 
 METRICS = ("cosine", "euclidean")
-
-#: Format marker in saved index archives (see :meth:`ExactIndex.save`).
-INDEX_FORMAT = "repro-index-v1"
 
 
 def unit_rows(matrix: np.ndarray) -> np.ndarray:
@@ -68,7 +62,7 @@ class ExactIndex:
     :meth:`repro.core.pipeline.NetworkObserverProfiler.train_on_sequences`).
     """
 
-    #: backend identifier in metric labels, manifests and saved archives
+    #: backend identifier in metric labels and generation manifests
     name = "exact"
 
     def __init__(
@@ -123,18 +117,6 @@ class ExactIndex:
     @property
     def dim(self) -> int:
         return self._vectors.shape[1]
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """The stored matrix (unit rows for cosine).  Do not mutate.
-
-        For a cosine index this is exactly the row-normalized embedding
-        matrix, which is why ``HostnameEmbeddings.bind_index(...,
-        reuse_unit_rows=True)`` can adopt it as its unit-row cache — and
-        when the index was loaded ``mmap_mode="r"``, keep a whole worker
-        fleet on one shared physical copy.
-        """
-        return self._vectors
 
     # -- search ----------------------------------------------------------------
 
@@ -203,39 +185,6 @@ class ExactIndex:
         deltas = self._vectors - query
         return -np.einsum("ij,ij->i", deltas, deltas)
 
-    # -- persistence -----------------------------------------------------------
-
-    def describe(self) -> dict:
-        """Backend and shape, as recorded in generation manifests."""
-        return {
-            "backend": self.name,
-            "metric": self.metric,
-            "size": len(self),
-            "dim": self.dim,
-        }
-
-    def save(self, path: str | Path, compress: bool = True) -> None:
-        """Serialize the index (``.npz``, atomic + digest-stable).
-
-        The archive holds the stored vector matrix (already unit rows
-        for cosine) and a JSON header; a retrained observer restores it
-        with :func:`load_index` instead of rebuilding.
-        ``compress=False`` writes mappable members so a worker fleet can
-        :func:`load_index` the archive with ``mmap_mode="r"`` zero-copy.
-        """
-        header = {"format": INDEX_FORMAT, **self.describe()}
-        save_npz_deterministic(
-            path,
-            {
-                "vectors": self._vectors,
-                "header": np.frombuffer(
-                    json.dumps(header, sort_keys=True).encode("utf-8"),
-                    dtype=np.uint8,
-                ),
-            },
-            compress=compress,
-        )
-
 
 def build_index(
     vectors: np.ndarray,
@@ -246,60 +195,10 @@ def build_index(
     """Build the serving index over ``vectors``.
 
     The pipeline calls this (through its module global) for every model
-    it trains, so it is the one place an index build can be timed or,
-    in tests, forbidden.
+    it trains, so it is the one place a retrain's index build can be
+    timed or, in tests, forbidden.  Loading a served model constructs
+    its :class:`ExactIndex` directly and is not a build.
     """
     return ExactIndex(
         vectors, metric=metric, normalized=normalized, registry=registry
     )
-
-
-def load_index(
-    path: str | Path,
-    registry: MetricsRegistry | None = None,
-    mmap_mode: str | None = None,
-) -> ExactIndex:
-    """Restore an index saved with :meth:`ExactIndex.save`.
-
-    Restoring never redoes build work: the archive holds the matrix the
-    index scans.  A header naming any backend other than ``exact``
-    (archives from builds that shipped ``ivf`` or ``blocked``) raises
-    ``ValueError``: those generations served other scores, so loading
-    their matrix here would not reproduce what they served.
-
-    ``mmap_mode="r"`` binds the index to read-only mapped views of the
-    archive (see :func:`~repro.utils.serialization.load_npz_mapped`):
-    N worker processes restoring the same archive share one physical
-    copy of the vector matrix through the OS page cache.
-    """
-    path = Path(path)
-    if mmap_mode is not None:
-        mapped = load_npz_mapped(path, mmap_mode=mmap_mode)
-        files = set(mapped)
-        get = mapped.__getitem__
-        closer = None
-    else:
-        npz = np.load(path, allow_pickle=False)
-        files = set(npz.files)
-        get = npz.__getitem__
-        closer = npz.close
-    try:
-        if "header" not in files:
-            raise ValueError(f"{path} is not a saved vector index")
-        header = json.loads(bytes(get("header")).decode("utf-8"))
-        if header.get("format") != INDEX_FORMAT:
-            raise ValueError(
-                f"{path}: unsupported index format "
-                f"{header.get('format')!r} (expected {INDEX_FORMAT})"
-            )
-        backend = header.get("backend")
-        if backend != ExactIndex.name:
-            raise ValueError(f"{path}: unknown index backend {backend!r}")
-        # Stored vectors are already normalized for cosine.
-        return ExactIndex(
-            get("vectors"), metric=header["metric"], normalized=True,
-            registry=registry,
-        )
-    finally:
-        if closer is not None:
-            closer()

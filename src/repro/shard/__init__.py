@@ -18,23 +18,23 @@ runtime:
   unacknowledged batches), and merges results and per-worker metrics
   (:func:`repro.obs.merge_snapshots`) into one fleet view.
 
-The model is shared zero-copy: the coordinator exports embeddings +
-index once (``compress=False``, mappable members) and every worker
-binds ``mmap_mode="r"`` views, so N processes read one physical copy of
-the model pages through the OS page cache.
+The coordinator exports the model once (``embeddings.npz`` +
+``profiler.json``) and every worker loads that directory with the same
+loader a store restore uses, building its own cosine index over the
+archive's unit rows.
 
 Parity is exact, not approximate: partitioning preserves each client's
 event subsequence, per-client profiling state never crosses clients,
-and all workers map byte-identical model files — so the merged fleet
+and all workers load byte-identical model files — so the merged fleet
 emissions equal the single-process run's, which the parity tests pin
 over N ∈ {1, 2, 4} and multiple shardings.
 
 The fleet is observable while it runs, not only at finish: workers ship
 ``repro-shard-telemetry-v1`` frames (metrics snapshot, heartbeat facts,
-exported trace spans) over their outbox, the coordinator caches and
-merges them (``/metrics?scope=fleet``, enriched ``/shards``), and
-:class:`FleetMonitor` turns the heartbeat stream into straggler/skew
-gauges the SLO engine can alert on.
+exported trace spans) on a dedicated telemetry queue, the coordinator
+caches and merges them (``/metrics?scope=fleet``, enriched ``/shards``),
+and :class:`FleetMonitor` turns the heartbeat stream into
+straggler/skew gauges the SLO engine can alert on.
 """
 
 from repro.shard.coordinator import FleetResult, ShardCoordinator

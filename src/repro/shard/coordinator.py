@@ -336,8 +336,6 @@ class ShardCoordinator:
             state.acked_seq = max(state.acked_seq, acked)
             for seq in [s for s in state.retained if s < acked]:
                 del state.retained[seq]
-        elif kind == "telemetry":
-            self._ingest_telemetry(shard, message[2])
         elif kind == "done":
             state.result = message[2]
             self.monitor.mark_done(shard)

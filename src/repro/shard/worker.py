@@ -60,9 +60,9 @@ class WorkerSpec:
     """Everything a spawned worker needs, in picklable primitives.
 
     No lambdas, no live objects with locks: the router travels as its
-    primitive spec, the model as a directory path (each worker maps the
-    same files read-only — that is the zero-copy share), the stream
-    config as a plain kwargs dict.
+    primitive spec, the model as a directory path (each worker loads
+    the coordinator's export), the stream config as a plain kwargs
+    dict.
     """
 
     shard_id: int
@@ -76,7 +76,6 @@ class WorkerSpec:
     # Batches applied between durable checkpoints; 0 checkpoints only at
     # finish (cheapest, but a kill replays the whole shard stream).
     checkpoint_every_batches: int = 1
-    mmap_mode: str | None = "r"
     # Live telemetry: the worker ships a frame (metrics snapshot, newly
     # completed sampled spans, heartbeat facts) at most this often — the
     # same cadence doubles as the idle heartbeat when no batches arrive;
@@ -161,9 +160,7 @@ class ShardWorker:
             registry=self.registry,
             tracer=self.tracer,
         )
-        pipeline.load_model_dir(
-            self.spec.model_dir, mmap_mode=self.spec.mmap_mode
-        )
+        pipeline.load_model_dir(self.spec.model_dir)
         if self.restored:
             # Warm restart: the same model resumes serving, so the swap
             # counter restored from the snapshot must not advance.
@@ -311,7 +308,7 @@ class ShardWorker:
         }
 
 
-def _worker_main(spec: WorkerSpec, inbox, outbox, telemetry=None) -> None:
+def _worker_main(spec: WorkerSpec, inbox, outbox, telemetry) -> None:
     """Spawn target: restore, announce readiness, then apply batches.
 
     Protocol (all tuples, picklable):
@@ -323,14 +320,13 @@ def _worker_main(spec: WorkerSpec, inbox, outbox, telemetry=None) -> None:
       ``checkpoint_every_batches`` applied batches, checkpoint and send
       ``("ack", shard_id, next_seq)`` (an ack promises durability — the
       coordinator trims its replay buffer below ``next_seq``).
-    * out ``("telemetry", shard_id, frame)`` — a live
+    * telemetry ``("telemetry", shard_id, frame)`` — a live
       ``repro-shard-telemetry-v1`` frame (metrics snapshot, completed
-      sampled spans, heartbeat facts), shipped on the dedicated
-      ``telemetry`` queue when one is given (the coordinator always
-      gives one — any of its threads can then drain frames without
-      touching the control channel the dispatch loop owns), else
-      piggybacked on the outbox.  A frame goes out right after
-      ``ready``, after an applied batch at most every
+      sampled spans, heartbeat facts), always on the dedicated
+      ``telemetry`` queue, never the outbox, so any coordinator thread
+      can drain frames without touching the control channel the
+      dispatch loop owns.  A frame goes out right after ``ready``,
+      after an applied batch at most every
       ``telemetry_interval_seconds``, after every *idle* interval with
       no batch (the heartbeat — silence must mean *stuck*, never merely
       unloaded), and right before ``done``.  Telemetry is advisory: the
@@ -352,11 +348,10 @@ def _worker_main(spec: WorkerSpec, inbox, outbox, telemetry=None) -> None:
             worker.flight.install_crash_hooks(spec.flight_path)
         outbox.put(("ready", worker.shard_id, worker.next_seq))
         interval = spec.telemetry_interval_seconds
-        sink = telemetry if telemetry is not None else outbox
 
         def emit_frame() -> None:
-            sink.put(("telemetry", worker.shard_id,
-                      worker.telemetry_frame()))
+            telemetry.put(("telemetry", worker.shard_id,
+                           worker.telemetry_frame()))
 
         if interval > 0:
             emit_frame()

@@ -1,7 +1,7 @@
 """Versioned artifact store: atomic publish, rollback, warm restart.
 
 Every daily retrain is published as an immutable, digest-verified
-**generation** (embeddings + prebuilt vector index + profiler config);
+**generation** (embeddings archive + profiler config);
 ``LATEST`` names the one that serves.  See ``DESIGN.md`` ("Persistence &
 model generations") for the layout and the recovery walkthrough.
 """
@@ -9,7 +9,6 @@ model generations") for the layout and the recovery walkthrough.
 from repro.store.artifacts import (
     DRIFT_REPORT_COMPONENT,
     EMBEDDINGS_COMPONENT,
-    INDEX_COMPONENT,
     LATEST_NAME,
     MANIFEST_NAME,
     MANIFEST_SCHEMA_VERSION,
@@ -25,7 +24,6 @@ from repro.store.artifacts import (
 __all__ = [
     "DRIFT_REPORT_COMPONENT",
     "EMBEDDINGS_COMPONENT",
-    "INDEX_COMPONENT",
     "LATEST_NAME",
     "MANIFEST_NAME",
     "MANIFEST_SCHEMA_VERSION",

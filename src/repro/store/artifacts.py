@@ -5,9 +5,10 @@ serving profiles while models roll over (§5.4: "train a new model that we
 immediately start using").  This module gives that rollover the artifact
 registry discipline word2vec-era serving systems use for embedding
 snapshots: every successful retrain is published as a **generation** — an
-immutable directory holding the embeddings, the prebuilt vector index,
-the profiler configuration, and a manifest with SHA-256 content digests —
-and a ``LATEST`` pointer names the generation that serves.
+immutable directory holding the embeddings archive, the profiler
+configuration, and a manifest with SHA-256 content digests and the shape
+of the vector index a loader builds — and a ``LATEST`` pointer names the
+generation that serves.
 
 Guarantees:
 
@@ -38,8 +39,8 @@ On-disk layout::
         g000041/
           manifest.json
           embeddings.npz
-          index.npz
           profiler.json
+          drift.json          # when a drift report was attached
         g000042/
           ...
 """
@@ -56,6 +57,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from repro.index import ExactIndex
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Tracer
@@ -70,7 +72,6 @@ LATEST_NAME = "LATEST"
 #: Canonical component filenames shared by every layer that publishes or
 #: loads a model generation (pipeline, supervisor, CLI).
 EMBEDDINGS_COMPONENT = "embeddings.npz"
-INDEX_COMPONENT = "index.npz"
 PROFILER_CONFIG_COMPONENT = "profiler.json"
 DRIFT_REPORT_COMPONENT = "drift.json"
 
@@ -232,11 +233,11 @@ class ArtifactStore:
         """Write a new generation atomically and point ``LATEST`` at it.
 
         ``components`` maps component filenames to writer callables; each
-        writer receives the path it must create (e.g. ``embeddings.save``
-        or ``index.save``).  Every component is written and digested into
-        a scratch directory, the manifest lands last, and only then is
-        the scratch directory renamed to its final generation name — a
-        crash at any earlier point leaves the store exactly as it was.
+        writer receives the path it must create (e.g.
+        ``embeddings.save``).  Every component is written and digested
+        into a scratch directory, the manifest lands last, and only then
+        is the scratch directory renamed to its final generation name —
+        a crash at any earlier point leaves the store exactly as it was.
         """
         if not components:
             raise StoreError("cannot publish a generation with no components")
@@ -472,19 +473,21 @@ class ArtifactStore:
 def publish_model(
     store: ArtifactStore,
     embeddings,
-    index,
     profiler_config: dict | None = None,
     created_from_day: int | None = None,
     extra: dict | None = None,
     drift_report: dict | None = None,
 ) -> GenerationRecord:
-    """Publish an embeddings + index (+ optional profiler config) trio.
+    """Publish an embeddings archive (+ optional profiler config).
 
     The shared shape every publisher uses — the pipeline's
     ``publish_generation``, the supervisor's post-retrain publish, and
     the ``train --store`` CLI path — so all generations in a store are
-    mutually loadable.  ``embeddings`` and ``index`` only need ``save``
-    methods (duck-typed to avoid a core → store import cycle).
+    mutually loadable.  ``embeddings`` only needs ``save``, ``__len__``
+    and ``dim`` (duck-typed to avoid a core → store import cycle).  The
+    archive is the whole model: every loader builds the cosine
+    :class:`~repro.index.ExactIndex` over its unit rows, and the
+    manifest's ``index`` block records that index's shape.
     ``drift_report`` (the ``to_dict()`` of a
     :class:`~repro.obs.drift.DriftReport`) rides along as the
     ``drift.json`` component, so every generation carries the drift
@@ -492,7 +495,6 @@ def publish_model(
     """
     components: dict[str, Callable[[Path], None]] = {
         EMBEDDINGS_COMPONENT: embeddings.save,
-        INDEX_COMPONENT: index.save,
     }
     if profiler_config is not None:
         components[PROFILER_CONFIG_COMPONENT] = (
@@ -509,6 +511,11 @@ def publish_model(
     return store.publish(
         components,
         created_from_day=created_from_day,
-        index_meta=index.describe(),
+        index_meta={
+            "backend": ExactIndex.name,
+            "metric": "cosine",
+            "size": len(embeddings),
+            "dim": embeddings.dim,
+        },
         extra=extra,
     )

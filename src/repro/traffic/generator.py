@@ -263,27 +263,11 @@ class StreamingTraceGenerator:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         flight=None,
-        user_filter=None,
-        shard_key: str | None = None,
     ):
-        """``user_filter`` restricts generation to the user ids for which
-        ``user_filter(user_id)`` is true — the sharded runtime's per-shard
-        view of the same seeded world.  Because each (day, user) cell is
-        independently seeded, the filtered stream is exactly the full
-        stream restricted to those users, and users outside the filter
-        cost nothing (their sessions are never realized).  A filter must
-        come with a ``shard_key`` naming the partition; the key is folded
-        into :attr:`config_digest` so a cursor written under one shard
-        assignment can never silently resume a different one.
-        """
         if batch_events < 1:
             raise ValueError("batch_events must be >= 1")
         if users_per_chunk < 1:
             raise ValueError("users_per_chunk must be >= 1")
-        if (user_filter is None) != (shard_key is None):
-            raise ValueError(
-                "user_filter and shard_key must be provided together"
-            )
         self.web = web
         self.population = population
         self.seed = int(seed)
@@ -295,8 +279,6 @@ class StreamingTraceGenerator:
         self.registry = registry if registry is not None else NullRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.flight = flight
-        self.user_filter = user_filter
-        self.shard_key = shard_key
         # Live day iterators, so close() can shut them (and their spill
         # directories) down deterministically.  Weak: an iterator that
         # was consumed to exhaustion or GC'd drops out on its own.
@@ -351,12 +333,6 @@ class StreamingTraceGenerator:
             repr(self.model.config),
             repr(self.diurnal),
         ]
-        # A shard-filtered generator emits a different stream, so its
-        # cursors must not interchange with the full stream's (or with
-        # another shard's).  Unsharded digests stay byte-identical to
-        # pre-shard builds, keeping existing cursors valid.
-        if self.shard_key is not None:
-            parts.append(f"shard={self.shard_key}")
         material = ":".join(parts)
         return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
@@ -369,10 +345,6 @@ class StreamingTraceGenerator:
         """Requests of users [lo, hi) for one day, time-sorted."""
         requests: list[Request] = []
         for user_id in range(lo, hi):
-            if self.user_filter is not None and not self.user_filter(
-                user_id
-            ):
-                continue
             requests.extend(
                 user_day_requests(
                     self.model, self.diurnal, self.seed,

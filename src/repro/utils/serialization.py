@@ -8,8 +8,8 @@ Two properties every persisted artifact in this repo needs:
   checkpoint.
 * **byte determinism** — the same content must produce the same bytes on
   every save, so the artifact store's SHA-256 manifest digests are stable
-  across republishes of an identical model.  ``np.savez_compressed``
-  breaks this by stamping the member zip headers with the wall clock;
+  across republishes of an identical model.  ``np.savez`` breaks this
+  by stamping the member zip headers with the wall clock;
   :func:`save_npz_deterministic` builds the zip itself with a fixed
   timestamp (and no pickled members), yet stays loadable by ``np.load``.
 """
@@ -48,25 +48,17 @@ def atomic_write_json(path: str | Path, payload: dict) -> None:
     )
 
 
-def npz_bytes_deterministic(
-    arrays: dict[str, np.ndarray], compress: bool = True
-) -> bytes:
+def npz_bytes_deterministic(arrays: dict[str, np.ndarray]) -> bytes:
     """An ``.npz``-compatible archive with reproducible bytes.
 
     Members are written in sorted name order with a fixed zip timestamp
-    and deflate compression, so identical arrays always produce identical
-    bytes.  Object-dtype arrays are rejected: they would be pickled,
-    which is neither stable across Python versions nor safe to load.
-
-    ``compress=False`` stores members verbatim (``ZIP_STORED``), still
-    deterministically: the raw ``.npy`` bytes sit at a fixed offset in
-    the file, which is what lets :func:`load_npz_mapped` hand back true
-    zero-copy ``np.memmap`` views.  Model archives meant to be shared
-    read-only across worker processes are written this way.
+    and stored verbatim (``ZIP_STORED``), so identical arrays always
+    produce identical bytes and loading is a plain copy, not an inflate.
+    Object-dtype arrays are rejected: they would be pickled, which is
+    neither stable across Python versions nor safe to load.
     """
-    method = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
     buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w", compression=method) as archive:
+    with zipfile.ZipFile(buffer, "w") as archive:
         for name in sorted(arrays):
             array = np.asanyarray(arrays[name])
             if array.dtype.hasobject:
@@ -77,110 +69,22 @@ def npz_bytes_deterministic(
             member = io.BytesIO()
             np.lib.format.write_array(member, array, allow_pickle=False)
             info = zipfile.ZipInfo(name + ".npy", date_time=_ZIP_EPOCH)
-            info.compress_type = method
+            info.compress_type = zipfile.ZIP_STORED
             info.external_attr = 0o644 << 16
             archive.writestr(info, member.getvalue())
     return buffer.getvalue()
 
 
 def save_npz_deterministic(
-    path: str | Path,
-    arrays: dict[str, np.ndarray],
-    compress: bool = True,
+    path: str | Path, arrays: dict[str, np.ndarray]
 ) -> None:
     """Atomically write a deterministic ``.npz`` archive to ``path``.
 
-    Unlike ``np.savez_compressed`` this writes to the *exact* path given
-    (no implicit ``.npz`` suffix appended) and never leaves a truncated
-    archive behind on a crash.  ``compress=False`` writes mappable
-    (``ZIP_STORED``) members for :func:`load_npz_mapped`.
+    Unlike ``np.savez`` this writes to the *exact* path given (no
+    implicit ``.npz`` suffix appended) and never leaves a truncated
+    archive behind on a crash.
     """
-    atomic_write_bytes(path, npz_bytes_deterministic(arrays, compress))
-
-
-def _npy_member_header(handle) -> tuple[tuple, np.dtype, bool, int]:
-    """Parse an ``.npy`` header at the handle's position.
-
-    Returns ``(shape, dtype, fortran_order, data_offset)`` with
-    ``data_offset`` absolute in the underlying file.  Only the plain
-    (non-pickled) format versions our own writer produces are accepted.
-    """
-    version = np.lib.format.read_magic(handle)
-    if version == (1, 0):
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
-    elif version == (2, 0):
-        shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
-    else:
-        raise ValueError(f"unsupported .npy format version {version}")
-    if dtype.hasobject:
-        raise ValueError("mapped archives cannot contain pickled members")
-    return shape, dtype, fortran, handle.tell()
-
-
-def load_npz_mapped(
-    path: str | Path, mmap_mode: str = "r"
-) -> dict[str, np.ndarray]:
-    """Zero-copy load of a :func:`save_npz_deterministic` archive.
-
-    Every member written ``ZIP_STORED`` (``compress=False``) comes back
-    as a read-only ``np.memmap`` view straight into the archive file —
-    N processes mapping the same model file share one copy of its pages
-    through the OS page cache, which is how the sharded runtime serves
-    one embedding matrix to a whole worker fleet.  Deflated members
-    cannot be mapped and fall back to an eager load, still returned
-    read-only so callers cannot tell the two apart by mutability.
-
-    Only read modes are supported: a model archive is an immutable
-    published artifact, and a writable map would let one worker corrupt
-    every other worker's view of it.
-    """
-    if mmap_mode not in ("r", "c"):
-        raise ValueError(
-            f"mmap_mode must be 'r' or 'c' (read-only/copy-on-write), "
-            f"got {mmap_mode!r}"
-        )
-    path = Path(path)
-    arrays: dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as archive:
-        for info in archive.infolist():
-            name = info.filename
-            if name.endswith(".npy"):
-                name = name[: -len(".npy")]
-            if info.compress_type != zipfile.ZIP_STORED:
-                with archive.open(info) as member:
-                    array = np.lib.format.read_array(
-                        member, allow_pickle=False
-                    )
-                array.flags.writeable = False
-                arrays[name] = array
-                continue
-            # Stored member: find the raw .npy bytes inside the zip by
-            # reading the *local* file header (its extra field may differ
-            # from the central directory's), then map the array data.
-            with path.open("rb") as handle:
-                handle.seek(info.header_offset)
-                local = handle.read(30)
-                if local[:4] != b"PK\x03\x04":
-                    raise ValueError(
-                        f"{path}: corrupt local header for {info.filename}"
-                    )
-                name_len = int.from_bytes(local[26:28], "little")
-                extra_len = int.from_bytes(local[28:30], "little")
-                handle.seek(
-                    info.header_offset + 30 + name_len + extra_len
-                )
-                shape, dtype, fortran, data_offset = _npy_member_header(
-                    handle
-                )
-            arrays[name] = np.memmap(
-                path,
-                dtype=dtype,
-                mode=mmap_mode,
-                offset=data_offset,
-                shape=shape,
-                order="F" if fortran else "C",
-            )
-    return arrays
+    atomic_write_bytes(path, npz_bytes_deterministic(arrays))
 
 
 def file_sha256(path: str | Path, chunk_size: int = 1 << 20) -> str:

@@ -1,5 +1,6 @@
 """Tests for hostname embedding queries and persistence."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -147,6 +148,17 @@ class TestPersistence:
         toy.save(second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_archive_bytes_are_pinned(self, tmp_path):
+        """The one model archive: stored members, fixed bytes for a
+        seeded model (every generation and fleet export carries it)."""
+        rng = np.random.default_rng(7)
+        vocab = Vocabulary(Counter({f"h{i}.example": 20 - i for i in range(8)}))
+        path = tmp_path / "embeddings.npz"
+        HostnameEmbeddings(rng.normal(size=(8, 5)), vocab).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "6e154120dcf19aa99ad28cebb60de2d30f3aa0674dc5ddec349e036a5f9c7b61"
+        )
+
     def test_save_leaves_no_tmp_sibling(self, toy, tmp_path):
         path = tmp_path / "emb.npz"
         toy.save(path)
@@ -186,39 +198,6 @@ class TestPersistence:
         assert np.allclose(loaded.vector("low.com"), [1.0, 0.0])
         assert np.allclose(loaded.vector("high.com"), [0.0, 1.0])
         assert np.allclose(loaded.vector("mid.com"), [0.5, 0.5])
-
-
-class TestZeroCopyLoad:
-    def test_mapped_load_matches_eager_bitwise(self, toy, tmp_path):
-        path = tmp_path / "emb.npz"
-        toy.save(path, compress=False)
-        eager = HostnameEmbeddings.load(path)
-        mapped = HostnameEmbeddings.load(path, mmap_mode="r")
-        assert mapped.vocabulary.hosts == eager.vocabulary.hosts
-        assert mapped.vectors.tobytes() == eager.vectors.tobytes()
-        assert isinstance(np.asanyarray(mapped.vectors).base, np.memmap) or (
-            not mapped.vectors.flags.writeable
-        )
-
-    def test_mapped_vectors_are_read_only(self, toy, tmp_path):
-        path = tmp_path / "emb.npz"
-        toy.save(path, compress=False)
-        mapped = HostnameEmbeddings.load(path, mmap_mode="r")
-        with pytest.raises((ValueError, RuntimeError)):
-            mapped.vectors[0, 0] = 1.0
-
-    def test_reuse_unit_rows_binds_index_matrix(self, toy, tmp_path):
-        from repro.index import ExactIndex, load_index
-
-        path = tmp_path / "idx.npz"
-        ExactIndex(toy.unit_vectors, metric="cosine", normalized=True).save(
-            path, compress=False
-        )
-        index = load_index(path, mmap_mode="r")
-        fresh = HostnameEmbeddings(toy.vectors, toy.vocabulary)
-        fresh.bind_index(index, reuse_unit_rows=True)
-        assert fresh.unit_vectors is index.vectors
-        assert fresh.unit_vectors.tobytes() == toy.unit_vectors.tobytes()
 
 
 class TestWord2VecFormat:

@@ -1,9 +1,8 @@
 """Shared fixtures for the sharded-runtime tests.
 
-One small trained model is exported once per session (mappable,
-``compress=False``) and every test — single-process reference and
-worker fleets alike — serves it, so parity comparisons always run over
-byte-identical model files.
+One small trained model is exported once per session and every test —
+single-process reference and worker fleets alike — serves it, so parity
+comparisons always run over byte-identical model files.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ def single_process_emissions(
     pipeline = NetworkObserverProfiler(
         labelled, tracker_filter=tracker_filter
     )
-    pipeline.load_model_dir(model_dir, mmap_mode=None)
+    pipeline.load_model_dir(model_dir)
     stream = StreamingProfiler(
         config=StreamingConfig(**STREAM_CONFIG),
         tracker_filter=tracker_filter,

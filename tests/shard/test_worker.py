@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.shard import SHARD_CHECKPOINT_FORMAT, ShardWorker, WorkerSpec
@@ -127,3 +128,23 @@ class TestCheckpointing:
     def test_spec_validation(self, tmp_path):
         with pytest.raises(ValueError):
             ShardWorker(_spec(tmp_path, shard_id=5, num_shards=2))
+
+
+class TestModel:
+    def test_loaded_index_matrix_is_owned_and_writeable(
+        self, tmp_path, shard_model_dir, labelled, tracker_filter
+    ):
+        """A worker builds its index at load over its own unit rows, so
+        the matrix it scans is a private aligned array, not a read-only
+        map of the export (numpy hands no unaligned map to BLAS)."""
+        worker = ShardWorker(
+            _spec(
+                tmp_path, model_dir=shard_model_dir, labelled=labelled,
+                tracker_filter=tracker_filter,
+            )
+        )
+        matrix = worker.stream._profiler.index._vectors
+        assert not isinstance(matrix, np.memmap)
+        assert matrix.flags.writeable
+        assert matrix.flags.owndata
+        assert matrix.flags.aligned

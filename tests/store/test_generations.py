@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 import repro.core.pipeline as pipeline_module
+from repro.core.embeddings import HostnameEmbeddings
 from repro.core.pipeline import NetworkObserverProfiler, PipelineConfig
 from repro.core.skipgram import SkipGramConfig, SkipGramModel
 from repro.core.streaming import StreamingConfig, StreamingProfiler
 from repro.core.supervisor import RetrainSupervisor, SupervisorConfig
-from repro.index import INDEX_FORMAT
 from repro.netobs.flows import HostnameEvent
 from repro.store import (
     EMBEDDINGS_COMPONENT,
-    INDEX_COMPONENT,
+    MANIFEST_NAME,
     PROFILER_CONFIG_COMPONENT,
     ArtifactIntegrityError,
     ArtifactStore,
@@ -65,10 +65,13 @@ class TestPublishLoadRoundTrip:
         record = trained.publish_generation(store, day=0)
         assert record.generation_id == "g000001"
         assert record.created_from_day == 0
-        for name in (
-            EMBEDDINGS_COMPONENT, INDEX_COMPONENT, PROFILER_CONFIG_COMPONENT,
-        ):
-            assert record.has_component(name)
+        # The embeddings archive is the whole model: no index archive.
+        assert sorted(record.components) == [
+            EMBEDDINGS_COMPONENT, PROFILER_CONFIG_COMPONENT,
+        ]
+        assert sorted(p.name for p in record.path.iterdir()) == sorted(
+            [MANIFEST_NAME, EMBEDDINGS_COMPONENT, PROFILER_CONFIG_COMPONENT]
+        )
         assert record.index_meta == {
             "backend": "exact", "metric": "cosine",
             "size": len(trained.embeddings), "dim": trained.embeddings.dim,
@@ -100,44 +103,84 @@ class TestPublishLoadRoundTrip:
         session = trained.embeddings.vocabulary.hosts[:4]
         assert restored.profile_session(session).categories is not None
 
-    @pytest.mark.parametrize("backend", ["ivf", "blocked", None])
+    @pytest.mark.parametrize("backend", ["ivf", "blocked"])
     def test_unknown_index_backend_keeps_previous_model(
         self, trained, store, labelled, tracker_filter, backend
     ):
-        """A generation this build cannot serve is refused, and the
-        pipeline keeps serving the model it already had: an index
-        archive naming a backend from an older build (``ivf``, or
-        ``blocked``, which scored in float32), or no index archive at
-        all (``None``)."""
+        """A generation whose manifest names a backend from an older
+        build (``ivf``, or ``blocked``, which scored in float32) served
+        other scores: it is refused, and the pipeline keeps serving the
+        model it already had."""
         trained.publish_generation(store, day=0)
         pipeline = _pipeline(labelled, tracker_filter)
         pipeline.load_generation(store)
         serving = pipeline.profiler
 
-        def write_index(path):
-            vectors = trained.embeddings.index.vectors
-            header = json.dumps({
-                "format": INDEX_FORMAT, "backend": backend,
-                "metric": "cosine",
-                "size": len(vectors), "dim": vectors.shape[1],
-            }).encode()
-            np.savez(
-                path,
-                header=np.frombuffer(header, dtype=np.uint8),
-                vectors=vectors,
-            )
-
-        components = {EMBEDDINGS_COMPONENT: trained.embeddings.save}
-        if backend is None:
-            error, match = FileNotFoundError, INDEX_COMPONENT
-        else:
-            components[INDEX_COMPONENT] = write_index
-            error = ValueError
-            match = f"unknown index backend '{backend}'"
-        store.publish(components, index_meta={"backend": backend})
-        with pytest.raises(error, match=match):
+        store.publish(
+            {EMBEDDINGS_COMPONENT: trained.embeddings.save},
+            index_meta={"backend": backend},
+        )
+        with pytest.raises(
+            ValueError, match=f"unknown index backend '{backend}'"
+        ):
             pipeline.load_generation(store)
         assert pipeline.profiler is serving
+
+    def test_generation_from_older_builds_still_serves(
+        self, trained, store, labelled, tracker_filter, monkeypatch
+    ):
+        """Generations published before the index was built at load
+        carry deflated members and an ``index.npz``.  They restore (every
+        component still digest-verified), the index archive is ignored,
+        and the restored model profiles bit for bit like the in-memory
+        one."""
+        embeddings = trained.embeddings
+        vocabulary = embeddings.vocabulary
+        index_meta = {
+            "backend": "exact", "metric": "cosine",
+            "size": len(embeddings), "dim": embeddings.dim,
+        }
+        index_header = json.dumps(
+            {"format": "repro-index-v1", **index_meta}, sort_keys=True
+        ).encode()
+        record = store.publish(
+            {
+                EMBEDDINGS_COMPONENT: lambda path: np.savez_compressed(
+                    path,
+                    format_version=np.asarray(
+                        HostnameEmbeddings.FORMAT_VERSION, dtype=np.int64
+                    ),
+                    vectors=embeddings.vectors,
+                    hosts=np.asarray(vocabulary.hosts, dtype=np.str_),
+                    counts=vocabulary.counts.astype(np.int64),
+                ),
+                "index.npz": lambda path: np.savez_compressed(
+                    path,
+                    vectors=embeddings.unit_vectors,
+                    header=np.frombuffer(index_header, dtype=np.uint8),
+                ),
+                PROFILER_CONFIG_COMPONENT: lambda path: path.write_text(
+                    json.dumps(trained._profiler_config())
+                ),
+            },
+            created_from_day=0,
+            index_meta=index_meta,
+        )
+        probes = [
+            vocabulary.hosts[start:start + 6] for start in range(0, 60, 6)
+        ]
+        restored = _pipeline(labelled, tracker_filter)
+        _forbid_rebuild(monkeypatch)
+        assert restored.load_generation(store).index_meta == index_meta
+        for session in probes:
+            assert restored.profile_session(session).categories.tobytes() == (
+                trained.profile_session(session).categories.tobytes()
+            )
+
+        index_path = record.path / "index.npz"
+        index_path.write_bytes(index_path.read_bytes()[:-7] + b"garbage")
+        with pytest.raises(ArtifactIntegrityError, match="index.npz"):
+            _pipeline(labelled, tracker_filter).load_generation(store)
 
     def test_corrupt_component_refuses_to_load(
         self, trained, store, labelled, tracker_filter

@@ -125,68 +125,6 @@ class TestStreamedParity:
         assert runs[0]  # the world is not degenerately empty
 
 
-class TestShardFiltering:
-    """user_filter: each shard sees exactly its own users' events."""
-
-    def test_filtered_stream_equals_filtered_full_stream(
-        self, web, population
-    ):
-        full = StreamingTraceGenerator(web, population, seed=TEST_SEED)
-        keep = lambda user_id: user_id % 3 == 1  # noqa: E731
-        sharded = StreamingTraceGenerator(
-            web, population, seed=TEST_SEED,
-            user_filter=keep, shard_key="mod3:1",
-            users_per_chunk=4,
-        )
-        expected = [
-            r for r in full.day_requests(0) if keep(r.user_id)
-        ]
-        assert sharded.day_requests(0) == expected
-
-    def test_shards_partition_the_day(self, web, population):
-        full = StreamingTraceGenerator(web, population, seed=TEST_SEED)
-        pieces = []
-        for shard in range(3):
-            gen = StreamingTraceGenerator(
-                web, population, seed=TEST_SEED,
-                user_filter=(
-                    lambda user_id, shard=shard: user_id % 3 == shard
-                ),
-                shard_key=f"mod3:{shard}",
-            )
-            pieces.extend(gen.day_requests(0))
-        pieces.sort(key=lambda r: (r.timestamp, r.user_id))
-        assert pieces == full.day_requests(0)
-
-    def test_shard_key_changes_config_digest(self, web, population):
-        base = StreamingTraceGenerator(web, population, seed=TEST_SEED)
-        shard_a = StreamingTraceGenerator(
-            web, population, seed=TEST_SEED,
-            user_filter=lambda u: u % 2 == 0, shard_key="mod2:0",
-        )
-        shard_b = StreamingTraceGenerator(
-            web, population, seed=TEST_SEED,
-            user_filter=lambda u: u % 2 == 1, shard_key="mod2:1",
-        )
-        digests = {
-            base.config_digest,
-            shard_a.config_digest,
-            shard_b.config_digest,
-        }
-        assert len(digests) == 3
-
-    def test_filter_requires_shard_key(self, web, population):
-        with pytest.raises(ValueError):
-            StreamingTraceGenerator(
-                web, population, seed=TEST_SEED,
-                user_filter=lambda u: True,
-            )
-        with pytest.raises(ValueError):
-            StreamingTraceGenerator(
-                web, population, seed=TEST_SEED, shard_key="orphan",
-            )
-
-
 class TestSpillCleanup:
     """Abandoned iterators must not strand spill shards until GC."""
 

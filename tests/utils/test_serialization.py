@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from repro.utils.serialization import (
     atomic_write_bytes,
     atomic_write_json,
     file_sha256,
-    load_npz_mapped,
     npz_bytes_deterministic,
     save_npz_deterministic,
 )
@@ -73,97 +73,22 @@ class TestDeterministicNpz:
         b = {"y": np.ones(3), "x": np.zeros(3)}
         assert npz_bytes_deterministic(a) == npz_bytes_deterministic(b)
 
+    def test_members_are_stored_not_deflated(self, tmp_path):
+        # One write mode: loading a member is a copy, never an inflate.
+        path = tmp_path / "out.npz"
+        save_npz_deterministic(
+            path, {"x": np.zeros(3), "h": np.asarray(["a"], dtype=np.str_)}
+        )
+        with zipfile.ZipFile(path) as archive:
+            assert {
+                info.compress_type for info in archive.infolist()
+            } == {zipfile.ZIP_STORED}
+
     def test_object_dtype_rejected(self):
         with pytest.raises(ValueError):
             npz_bytes_deterministic(
                 {"bad": np.asarray(["a", 1], dtype=object)}
             )
-
-
-class TestZeroCopyLoads:
-    """Zero-copy maps over deterministic archives (sharded runtime)."""
-
-    @staticmethod
-    def _arrays():
-        return {
-            "vectors": np.arange(24, dtype=np.float64).reshape(4, 6) / 7.0,
-            "counts": np.asarray([5, 4, 3, 2], dtype=np.int64),
-            "hosts": np.asarray(["a.com", "b.com"], dtype=np.str_),
-            "scalar": np.float64(3.5),
-        }
-
-    def test_mapped_load_bitwise_identical_to_eager(self, tmp_path):
-        path = tmp_path / "model.npz"
-        save_npz_deterministic(path, self._arrays(), compress=False)
-        mapped = load_npz_mapped(path)
-        with np.load(path) as eager:
-            assert set(mapped) == set(eager.files)
-            for name in eager.files:
-                lhs, rhs = np.asarray(mapped[name]), eager[name]
-                assert lhs.dtype == rhs.dtype
-                assert lhs.shape == rhs.shape
-                assert lhs.tobytes() == rhs.tobytes()   # bitwise
-
-    def test_stored_members_are_true_memmaps(self, tmp_path):
-        path = tmp_path / "model.npz"
-        save_npz_deterministic(path, self._arrays(), compress=False)
-        mapped = load_npz_mapped(path)
-        assert isinstance(mapped["vectors"], np.memmap)
-        import os
-
-        assert os.path.samefile(mapped["vectors"].filename, path)
-
-    def test_numpy_mmap_mode_on_deterministic_output(self, tmp_path):
-        # The satellite contract verbatim: np.load(..., mmap_mode="r")
-        # over our writer's output round-trips bitwise.  numpy ignores
-        # mmap_mode inside zip archives and reads eagerly, but the
-        # loaded values must still match exactly.
-        path = tmp_path / "model.npz"
-        arrays = self._arrays()
-        save_npz_deterministic(path, arrays, compress=False)
-        loaded = np.load(path, mmap_mode="r")
-        for name, source in arrays.items():
-            assert loaded[name].tobytes() == np.asanyarray(source).tobytes()
-
-    def test_writes_rejected_while_map_is_live(self, tmp_path):
-        path = tmp_path / "model.npz"
-        save_npz_deterministic(path, self._arrays(), compress=False)
-        mapped = load_npz_mapped(path)
-        vectors = mapped["vectors"]
-        with pytest.raises((ValueError, RuntimeError)):
-            vectors[0, 0] = 99.0
-        # And re-publishing over a live map must go through the atomic
-        # rename, never an in-place truncate: the map stays valid on the
-        # old inode while the path points at the new file.
-        before = vectors[0, 1]
-        save_npz_deterministic(path, self._arrays(), compress=False)
-        assert vectors[0, 1] == before
-
-    def test_compressed_members_fall_back_read_only(self, tmp_path):
-        path = tmp_path / "model.npz"
-        save_npz_deterministic(path, self._arrays(), compress=True)
-        mapped = load_npz_mapped(path)
-        assert not isinstance(mapped["vectors"], np.memmap)
-        assert not mapped["vectors"].flags.writeable
-        with np.load(path) as eager:
-            for name in eager.files:
-                assert np.asarray(mapped[name]).tobytes() == (
-                    eager[name].tobytes()
-                )
-
-    def test_write_modes_rejected(self, tmp_path):
-        path = tmp_path / "model.npz"
-        save_npz_deterministic(path, self._arrays(), compress=False)
-        with pytest.raises(ValueError):
-            load_npz_mapped(path, mmap_mode="r+")
-
-    def test_compress_flag_still_deterministic(self):
-        arrays = {"x": np.arange(64, dtype=np.float64)}
-        assert npz_bytes_deterministic(
-            arrays, compress=False
-        ) == npz_bytes_deterministic(
-            {"x": np.arange(64, dtype=np.float64)}, compress=False
-        )
 
 
 class TestFileSha256:
