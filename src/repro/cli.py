@@ -291,7 +291,6 @@ def _run_sharded_stream(
         tracer=tracer,
         trace_sampler=intro.sampler,
         flight=intro.flight,
-        worker_flight=intro.flight is not None,
     )
     chaos_delay = getattr(args, "chaos_dispatch_delay", 0.0) or 0.0
     if chaos_delay:

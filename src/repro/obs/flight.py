@@ -8,13 +8,14 @@ events in a lock-protected ring buffer:
 ============== ==============================================================
 kind           recorded by
 ============== ==============================================================
-``span``       tracer span completions (name, duration, trace ids)
+``flow``       digests of the last N ingested flows (client, host, source)
 ``state``      lifecycle transitions (checkpoint restore, retrain, rollback)
 ``quarantine`` stream-hygiene decisions (what was rejected and why)
 ``drift``      drift-monitor verdicts and gate decisions
 ``slo``        SLO alert fire/clear transitions
-``flow``       digests of the last N ingested flows (client, host, source)
 ``crash``      the terminal event appended by the dump hooks themselves
+``worker``     fleet lifecycle (shard spawn, crash, respawn, replay, done)
+``worldgen``   trace-generator progress (a resume point, each generated day)
 ============== ==============================================================
 
 Each event is ``{"seq", "wall", "kind", "name", **fields}`` — JSON-safe
@@ -47,11 +48,6 @@ log = get_logger("obs.flight")
 
 DEFAULT_CAPACITY = 2048
 FORMAT = "repro-flight-v1"
-
-EVENT_KINDS = (
-    "span", "state", "quarantine", "drift", "slo", "flow", "crash",
-    "worker",   # fleet lifecycle: shard spawn/crash/respawn/replay/done
-)
 
 
 def _jsonable(value):
@@ -113,16 +109,6 @@ class FlightRecorder:
             self._events_total.labels(kind=kind).inc()
         except Exception:
             pass
-
-    def span_observer(self, span) -> None:
-        """Record a completed (sampled) span — tracer hook signature."""
-        self.record(
-            "span",
-            span.name,
-            duration_ms=round(span.duration * 1e3, 3),
-            trace_id=span.trace_id,
-            span_id=span.span_id,
-        )
 
     def slo_observer(self, slo_name: str, active: bool, state: dict) -> None:
         """SLO transition hook (``SLOEngine.on_transition`` signature)."""

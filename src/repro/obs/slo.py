@@ -38,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, _label_suffix
@@ -123,14 +123,15 @@ def fleet_slos(
     max_heartbeat_age_seconds: float = 5.0,
     max_lag_skew_batches: float = 256.0,
 ) -> list[SLO]:
-    """Straggler objectives over the FleetMonitor's ``fleet_*`` gauges.
+    """Straggler objectives over the shard coordinator's ``fleet_*`` gauges.
 
     Both are ``gauge_max`` (instantaneous) objectives, so they fire the
     evaluation after the condition appears and clear the evaluation
     after it goes away — a SIGSTOPped worker fires ``fleet-straggler``
     within one heartbeat timeout, and a SIGCONT (or a respawn that
-    resumes acking) clears it.  The gauges read 0.0 until the monitor's
-    first update, which the engine treats as "not yet measured".
+    resumes acking) clears it.  The gauges read 0.0 until the
+    coordinator's first refresh, which the engine treats as "not yet
+    measured".
 
     ``stream --workers N --slo`` appends these to :func:`default_slos`.
     """

@@ -31,14 +31,14 @@ over N ∈ {1, 2, 4} and multiple shardings.
 
 The fleet is observable while it runs, not only at finish: workers ship
 ``repro-shard-telemetry-v1`` frames (metrics snapshot, heartbeat facts,
-exported trace spans) on a dedicated telemetry queue, the coordinator
-caches and merges them (``/metrics?scope=fleet``, enriched ``/shards``),
-and :class:`FleetMonitor` turns the heartbeat stream into
-straggler/skew gauges the SLO engine can alert on.
+exported trace spans) on a dedicated telemetry queue, and the
+coordinator caches and merges them (``/metrics?scope=fleet``, enriched
+``/shards``).  It keeps each shard's health — heartbeat age, ingest
+rate, replay lag — in one record and derives from it the straggler/skew
+gauges the SLO engine can alert on.
 """
 
 from repro.shard.coordinator import FleetResult, ShardCoordinator
-from repro.shard.monitor import FleetMonitor
 from repro.shard.router import ShardRouter
 from repro.shard.worker import (
     SHARD_CHECKPOINT_FORMAT,
@@ -48,7 +48,6 @@ from repro.shard.worker import (
 )
 
 __all__ = [
-    "FleetMonitor",
     "FleetResult",
     "SHARD_CHECKPOINT_FORMAT",
     "SHARD_TELEMETRY_FORMAT",

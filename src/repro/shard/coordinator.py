@@ -21,17 +21,19 @@ fleet snapshot the admin server can serve.
 The coordinator is also the fleet's telemetry sink.  Workers ship
 ``repro-shard-telemetry-v1`` frames on a dedicated per-shard telemetry
 queue (see :meth:`repro.shard.worker.ShardWorker.telemetry_frame`) —
-separate from the ack/control channel precisely so the fleet monitor's
+separate from the ack/control channel precisely so the coordinator's
 heartbeat thread and admin scrapes can drain frames while the dispatch
 loop is blocked or idle.  The coordinator caches the latest frame per
-shard, grafts any exported worker spans into
-its own tracer (cross-process trace reassembly), feeds the
-:class:`~repro.shard.monitor.FleetMonitor` heartbeat stream, and exposes
-the lot through :meth:`fleet_metrics_snapshot` and :meth:`status` —
-which back the admin server's ``/metrics?scope=fleet`` and ``/shards``
-routes.  When a head sampler is attached, :meth:`dispatch` stamps each
-sampled client's events with a ``(trace_id, span_id)`` wire context so
-the trace survives the coordinator→worker hop.
+shard and grafts any exported worker spans into its own tracer
+(cross-process trace reassembly).  Every frame is also a heartbeat: a
+shard's one record, :class:`_ShardState`, defines its heartbeat age,
+ingest rate and replay lag once, and the ``/shards`` rows, the ``fleet``
+summary and the ``fleet_*`` straggler/skew gauges the SLO engine alerts
+on all read those definitions.  :meth:`fleet_metrics_snapshot` and
+:meth:`status` back the admin server's ``/metrics?scope=fleet`` and
+``/shards`` routes.  When a head sampler is attached, :meth:`dispatch`
+stamps each sampled client's events with a ``(trace_id, span_id)`` wire
+context so the trace survives the coordinator→worker hop.
 """
 
 from __future__ import annotations
@@ -40,18 +42,24 @@ import multiprocessing as mp
 import queue as queue_module
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, label_snapshot
 from repro.obs.tracing import NULL_TRACER, span_from_wire, use_trace
-from repro.shard.monitor import FleetMonitor
 from repro.shard.router import ShardRouter
 from repro.shard.worker import WorkerSpec, _worker_main
 
-#: Generous: a spawned worker imports numpy + repro and maps the model
+log = get_logger("shard.coordinator")
+
+#: Generous: a spawned worker imports numpy + repro and loads the model
 #: before it reports ready; CI runners under load need headroom.
 READY_TIMEOUT_SECONDS = 120.0
+
+#: Trailing window over which per-shard throughput is computed.
+THROUGHPUT_WINDOW_SECONDS = 30.0
 
 
 class ShardWorkerError(RuntimeError):
@@ -78,7 +86,7 @@ class FleetResult:
 
 @dataclass
 class _ShardState:
-    """Coordinator-side bookkeeping for one worker."""
+    """Coordinator-side bookkeeping and health record for one worker."""
 
     process: object | None = None
     inbox: object | None = None
@@ -91,6 +99,43 @@ class _ShardState:
     restarts: int = 0
     telemetry: dict | None = None      # latest repro-shard-telemetry-v1 frame
     telemetry_mono: float | None = None   # monotonic instant it arrived
+    spawned_mono: float | None = None     # monotonic instant of last spawn
+    # Trailing (monotonic instant, cumulative events_seen) per frame.
+    samples: deque = field(default_factory=deque)
+
+    def observe_frame(self, frame: dict, now: float) -> None:
+        """Keep the latest frame and its ``(now, events_seen)`` sample."""
+        self.telemetry = frame
+        self.telemetry_mono = now
+        self.samples.append((now, float(frame.get("events_seen", 0))))
+        horizon = now - THROUGHPUT_WINDOW_SECONDS
+        while len(self.samples) > 2 and self.samples[1][0] <= horizon:
+            self.samples.popleft()
+
+    @property
+    def lag_batches(self) -> int:
+        """Batches sent but not yet durably acked."""
+        return max(0, self.sent_seq - self.acked_seq)
+
+    def heartbeat_age(self, now: float) -> float | None:
+        """Seconds since the last frame, counted from spawn before the
+        first; None once the shard's ``done`` result arrived."""
+        if self.result is not None:
+            return None
+        reference = (
+            self.telemetry_mono if self.telemetry_mono is not None
+            else self.spawned_mono
+        )
+        return None if reference is None else max(0.0, now - reference)
+
+    def events_per_second(self) -> float | None:
+        """Trailing-window ingest rate; None before two frames arrived."""
+        if len(self.samples) < 2:
+            return None
+        (t0, e0), (t1, e1) = self.samples[0], self.samples[-1]
+        if t1 <= t0:
+            return None
+        return max(0.0, (e1 - e0) / (t1 - t0))
 
 
 def event_wire(event) -> tuple:
@@ -114,14 +159,11 @@ class ShardCoordinator:
         salt: str = "",
         nat_groups: dict[str, str] | None = None,
         checkpoint_every_batches: int = 1,
-        start_method: str = "spawn",
         registry: MetricsRegistry | None = None,
         tracer=None,
         trace_sampler=None,
         flight=None,
         telemetry_interval_seconds: float = 1.0,
-        monitor_interval_seconds: float = 1.0,
-        worker_flight: bool = False,
     ):
         self.router = ShardRouter(
             num_shards, salt=salt, nat_groups=nat_groups
@@ -134,7 +176,7 @@ class ShardCoordinator:
         self.stream_config = dict(stream_config or {})
         self.tracker_filter = tracker_filter
         self.checkpoint_every_batches = int(checkpoint_every_batches)
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context("spawn")
         self._shards = [_ShardState() for _ in range(self.num_shards)]
         self._started = False
         self._finished = False
@@ -154,17 +196,52 @@ class ShardCoordinator:
         self.trace_sampler = trace_sampler
         self.flight = flight
         self.telemetry_interval_seconds = float(telemetry_interval_seconds)
-        self.worker_flight = bool(worker_flight)
         # One stable wire context per sampled client for the whole run:
         # HeadSampler mints a fresh trace id per start() call, so caching
         # here is what makes a client's events share a single trace.
         self._client_traces: dict[str, tuple | None] = {}
-        # Serializes telemetry drains: the monitor thread, admin scrapes
-        # and the dispatch loop may all pull frames; the lock keeps each
-        # shard's frames applied in arrival order.
-        self._telemetry_lock = threading.Lock()
-        self.monitor = FleetMonitor(
-            self, registry, interval_seconds=monitor_interval_seconds
+        # Guards the shards' health records: the heartbeat thread, admin
+        # scrapes and the dispatch loop may all pull frames; the lock
+        # keeps each shard's frames applied in arrival order and a
+        # refresh's gauges consistent with the rows built beside them.
+        self._telemetry_lock = threading.RLock()
+        self._heartbeat: threading.Thread | None = None
+        self._stop = threading.Event()
+        self._frames_total = registry.counter(
+            "fleet_telemetry_frames_total",
+            "Telemetry frames received from shard workers.",
+            labelnames=("shard",),
+        )
+        self._rate_gauge = registry.gauge(
+            "fleet_shard_events_per_second",
+            "Per-shard ingest rate over the trailing telemetry window.",
+            labelnames=("shard",),
+        )
+        self._lag_gauge = registry.gauge(
+            "fleet_shard_lag_batches",
+            "Batches sent to the shard but not yet durably acked.",
+            labelnames=("shard",),
+        )
+        self._heartbeat_gauge = registry.gauge(
+            "fleet_shard_heartbeat_age_seconds",
+            "Seconds since the shard's last telemetry frame.",
+            labelnames=("shard",),
+        )
+        self._max_heartbeat_gauge = registry.gauge(
+            "fleet_max_heartbeat_age_seconds",
+            "Worst heartbeat age across live (not-done) shards.",
+        )
+        self._max_lag_gauge = registry.gauge(
+            "fleet_max_lag_batches",
+            "Worst sent-minus-acked replay lag across live shards.",
+        )
+        self._lag_skew_gauge = registry.gauge(
+            "fleet_lag_skew_batches",
+            "Max minus min replay lag across live shards.",
+        )
+        self._throughput_skew_gauge = registry.gauge(
+            "fleet_throughput_skew",
+            "1 - min/max per-shard ingest rate (0 balanced, 1 skewed).",
         )
 
     # -- specs and paths -------------------------------------------------------
@@ -190,7 +267,7 @@ class ShardCoordinator:
             tracing=self.trace_sampler is not None,
             flight_path=(
                 str(self.shard_flight_path(shard))
-                if self.worker_flight else None
+                if self.flight is not None else None
             ),
         )
 
@@ -201,13 +278,43 @@ class ShardCoordinator:
     # -- lifecycle --------------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn every worker and wait for the ready handshake."""
+        """Spawn every worker and wait for the ready handshake, then start
+        the heartbeat thread (none when telemetry is off)."""
         if self._started:
             raise RuntimeError("coordinator already started")
         self._started = True
         for shard in range(self.num_shards):
             self._spawn(shard)
-        self.monitor.start()
+        if self.telemetry_interval_seconds > 0:
+            self._heartbeat = threading.Thread(
+                target=self._heartbeat_loop, name="fleet-heartbeat",
+                daemon=True,
+            )
+            self._heartbeat.start()
+
+    def _heartbeat_loop(self) -> None:
+        """Refresh the ``fleet_*`` gauges at the telemetry cadence.
+
+        The thread — not the dispatch loop — is what keeps straggler
+        gauges honest: when the coordinator blocks feeding a wedged
+        shard, dispatch-driven refreshes would freeze exactly when the
+        heartbeat age should be climbing.  It builds no ``/shards`` rows:
+        their ``is_alive()`` is a ``waitpid`` that would race the
+        dispatch loop's own checks for dead workers.
+        """
+        while not self._stop.wait(self.telemetry_interval_seconds):
+            try:
+                self._refresh_fleet()
+            except Exception as error:  # monitoring must not kill feeding
+                log.error(
+                    "fleet gauge refresh failed",
+                    error=f"{type(error).__name__}: {error}",
+                )
+
+    def _stop_heartbeat(self) -> None:
+        self._stop.set()
+        if self._heartbeat is not None:
+            self._heartbeat.join(timeout=5.0)
 
     def _spawn(self, shard: int) -> int:
         """(Re)spawn one worker; returns its reported ``next_seq``.
@@ -252,7 +359,7 @@ class ShardCoordinator:
             else:
                 state.inbox.put(("batch", seq, state.retained[seq]))
                 replayed += 1
-        self.monitor.mark_spawned(shard)
+        state.spawned_mono = time.monotonic()
         self._record_worker_event(
             "shard.spawn" if state.restarts == 0 else "shard.respawn",
             shard,
@@ -338,7 +445,6 @@ class ShardCoordinator:
                 del state.retained[seq]
         elif kind == "done":
             state.result = message[2]
-            self.monitor.mark_done(shard)
             self._record_worker_event(
                 "shard.done", shard,
                 events_seen=message[2].get("events_seen"),
@@ -361,10 +467,8 @@ class ShardCoordinator:
         the coordinator's tracer so ``trace_spans`` — and the admin
         server's ``/trace/<id>`` — see both sides of the hop.
         """
-        state = self._shards[shard]
-        state.telemetry = frame
-        state.telemetry_mono = time.monotonic()
-        self.monitor.observe_frame(shard, frame)
+        self._shards[shard].observe_frame(frame, time.monotonic())
+        self._frames_total.labels(shard=str(shard)).inc()
         if self.tracer.null:
             return
         for wire in frame.get("spans") or ():
@@ -381,9 +485,9 @@ class ShardCoordinator:
         Safe from any thread — frames travel on their own queue, so
         draining here can never steal a ``ready``/``done``/``error``
         message from the control channel the dispatch loop reads.  The
-        fleet monitor calls this on its heartbeat thread (which is what
-        lets a straggler alert *clear* while the dispatch loop is idle);
-        admin scrapes call it for freshness.
+        heartbeat thread calls this before every gauge refresh (which is
+        what lets a straggler alert *clear* while the dispatch loop is
+        idle); admin scrapes call it for freshness.
         """
         with self._telemetry_lock:
             for shard, state in enumerate(self._shards):
@@ -495,14 +599,13 @@ class ShardCoordinator:
         for state in self._shards:
             state.process.join(timeout=30)
         self._finished = True
-        # Final telemetry flush first (the frame each worker sent just
-        # before ``done`` carries its last sampled spans), then freeze
-        # fleet gauges at their healthy end-of-run values: every shard
-        # is done, so one last update (all-silent shards excluded) then
-        # stop — a lingering admin server must not see stale alarms.
-        self.drain_telemetry()
-        self.monitor.update()
-        self.monitor.stop()
+        # Stop the heartbeat thread, then one last refresh: it drains the
+        # frame each worker sent just before ``done`` (its last sampled
+        # spans) and freezes the gauges at their end-of-run values —
+        # every shard is done, so no heartbeat age counts and a
+        # lingering admin server serves no stale alarm.
+        self._stop_heartbeat()
+        self._refresh_fleet()
         per_shard = [
             {
                 "shard_id": state.result["shard_id"],
@@ -595,18 +698,60 @@ class ShardCoordinator:
             )
         return MetricsRegistry.merge_snapshots(snapshots)
 
-    def _shard_status(self, shard: int, state: _ShardState) -> dict:
+    def _refresh_fleet(self) -> tuple[float, dict]:
+        """Drain pending frames, then set every ``fleet_*`` gauge from
+        the shard records; returns the instant used and the ``fleet``
+        summary.  Shards with no heartbeat age (finished) are left out
+        of the aggregates."""
+        with self._telemetry_lock:
+            self.drain_telemetry()
+            now = time.monotonic()
+            ages: list[float] = []
+            lags: list[int] = []
+            rates: list[float] = []
+            for shard, state in enumerate(self._shards):
+                label = str(shard)
+                lag = state.lag_batches
+                self._lag_gauge.labels(shard=label).set(lag)
+                rate = state.events_per_second()
+                if rate is not None:
+                    self._rate_gauge.labels(shard=label).set(rate)
+                age = state.heartbeat_age(now)
+                if age is None:
+                    continue
+                self._heartbeat_gauge.labels(shard=label).set(age)
+                ages.append(age)
+                lags.append(lag)
+                if rate is not None:
+                    rates.append(rate)
+            max_age = max(ages, default=0.0)
+            max_lag = max(lags, default=0)
+            lag_skew = (max_lag - min(lags)) if lags else 0
+            throughput_skew = 0.0
+            if len(rates) >= 2 and max(rates) > 0:
+                throughput_skew = 1.0 - min(rates) / max(rates)
+            self._max_heartbeat_gauge.set(max_age)
+            self._max_lag_gauge.set(max_lag)
+            self._lag_skew_gauge.set(lag_skew)
+            self._throughput_skew_gauge.set(throughput_skew)
+        return now, {
+            "max_heartbeat_age_seconds": round(max_age, 3),
+            "max_lag_batches": max_lag,
+            "lag_skew_batches": lag_skew,
+            "throughput_skew": round(throughput_skew, 4),
+        }
+
+    def _shard_status(self, shard: int, state: _ShardState, now: float) -> dict:
         frame = state.telemetry
-        age = None
-        if state.telemetry_mono is not None:
-            age = round(time.monotonic() - state.telemetry_mono, 3)
+        age = state.heartbeat_age(now)
+        rate = state.events_per_second()
         checkpoint_age = None
         if frame is not None and frame.get("checkpoint_age_seconds") is not None:
             # The frame reports age at send time; add its time in flight.
             checkpoint_age = round(
-                frame["checkpoint_age_seconds"] + (age or 0.0), 3
+                frame["checkpoint_age_seconds"] + now - state.telemetry_mono,
+                3,
             )
-        rate = self.monitor.events_per_second(shard)
         return {
             "shard_id": shard,
             "pid": (
@@ -619,7 +764,7 @@ class ShardCoordinator:
             ),
             "sent_seq": state.sent_seq,
             "acked_seq": state.acked_seq,
-            "lag_batches": max(0, state.sent_seq - state.acked_seq),
+            "lag_batches": state.lag_batches,
             "retained_batches": len(state.retained),
             "restarts": state.restarts,
             "done": state.result is not None,
@@ -632,13 +777,21 @@ class ShardCoordinator:
             "events_per_second": (
                 round(rate, 2) if rate is not None else None
             ),
-            "heartbeat_age_seconds": age,
+            "heartbeat_age_seconds": (
+                round(age, 3) if age is not None else None
+            ),
             "checkpoint_age_seconds": checkpoint_age,
             "last_heartbeat_wall": frame["wall"] if frame else None,
         }
 
     def status(self) -> dict:
         """Fleet state for the admin server's ``/shards`` route."""
+        with self._telemetry_lock:
+            now, fleet = self._refresh_fleet()
+            shards = [
+                self._shard_status(shard, state, now)
+                for shard, state in enumerate(self._shards)
+            ]
         return {
             "num_shards": self.num_shards,
             "workers": self.num_shards,
@@ -649,18 +802,15 @@ class ShardCoordinator:
             "model_dir": self.model_dir,
             "restarts": sum(s.restarts for s in self._shards),
             "telemetry_interval_seconds": self.telemetry_interval_seconds,
-            "fleet": self.monitor.update(),
-            "shards": [
-                self._shard_status(shard, state)
-                for shard, state in enumerate(self._shards)
-            ],
+            "fleet": fleet,
+            "shards": shards,
         }
 
     # -- hard shutdown -----------------------------------------------------------
 
     def terminate(self) -> None:
         """Kill every worker (tests and error paths; not a clean finish)."""
-        self.monitor.stop()
+        self._stop_heartbeat()
         for state in self._shards:
             if state.process is not None and state.process.is_alive():
                 state.process.terminate()

@@ -269,7 +269,7 @@ class ShardWorker:
 
         Everything the coordinator's fleet view needs between acks: the
         full metrics snapshot (cheap relative to a 4k-event batch), the
-        heartbeat facts the straggler monitor consumes, and every
+        heartbeat facts its straggler gauges derive from, and every
         completed sampled span tree — drained, so each span ships
         exactly once and the worker's memory stays bounded.
         """

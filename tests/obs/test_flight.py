@@ -8,7 +8,6 @@ import pytest
 
 from repro.obs.flight import FORMAT, FlightRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import TraceContext, Tracer, use_trace
 
 
 class TestRing:
@@ -71,18 +70,6 @@ class TestRing:
 
 
 class TestObservers:
-    def test_span_observer_records_trace_ids(self):
-        flight = FlightRecorder(capacity=4)
-        tracer = Tracer()
-        with use_trace(TraceContext(trace_id="t1")):
-            with tracer.span("op") as span:
-                pass
-        flight.span_observer(span)
-        (event,) = flight.events()
-        assert event["kind"] == "span"
-        assert event["trace_id"] == "t1"
-        assert event["duration_ms"] >= 0
-
     def test_slo_observer_matches_engine_hook(self):
         flight = FlightRecorder(capacity=4)
         flight.slo_observer(

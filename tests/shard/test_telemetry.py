@@ -1,10 +1,11 @@
 """Fleet observability: live telemetry, heartbeats, straggler alerts.
 
 Workers ship ``repro-shard-telemetry-v1`` frames on a dedicated queue;
-the coordinator caches the latest per shard, the
-:class:`~repro.shard.monitor.FleetMonitor` turns the stream into
-``fleet_*`` gauges, and :func:`repro.obs.slo.fleet_slos` turns a silent
-worker into a firing — and, on resume, clearing — ``/alerts`` entry.
+the coordinator caches the latest per shard, derives each shard's
+heartbeat age, rate and lag from one record into both the ``/shards``
+rows and the ``fleet_*`` gauges, and :func:`repro.obs.slo.fleet_slos`
+turns a silent worker into a firing — and, on resume, clearing —
+``/alerts`` entry.
 These tests run the real spawn fleet but no model: telemetry must not
 depend on profiles being emitted.
 """
@@ -31,7 +32,6 @@ def _events(count: int = 240, users: int = 6) -> list[tuple]:
 
 def _coordinator(tmp_path, registry=None, **kwargs) -> ShardCoordinator:
     kwargs.setdefault("telemetry_interval_seconds", 0.1)
-    kwargs.setdefault("monitor_interval_seconds", 0.1)
     return ShardCoordinator(
         2,
         checkpoint_dir=tmp_path / "ckpt",
@@ -94,11 +94,38 @@ class TestTelemetryFrames:
         try:
             time.sleep(0.8)   # several idle intervals
             assert _wait(
-                lambda: coordinator.monitor.update()[
+                lambda: coordinator.status()["fleet"][
                     "max_heartbeat_age_seconds"
                 ] < 1.0,
                 timeout=10.0,
             )
+        finally:
+            coordinator.terminate()
+
+    def test_rows_and_gauges_share_heartbeat_age(self, tmp_path):
+        registry = MetricsRegistry()
+        # A slow cadence keeps the heartbeat thread from re-setting the
+        # gauges between the status() call and the registry read.
+        coordinator = _coordinator(
+            tmp_path, registry=registry, telemetry_interval_seconds=30.0
+        )
+        coordinator.start()
+        try:
+            coordinator.dispatch(_events())
+            assert _wait(lambda: all(   # each worker's frame sent on ready
+                entry["last_heartbeat_wall"] is not None
+                for entry in coordinator.status()["shards"]
+            ))
+            time.sleep(0.3)
+            status = coordinator.status()
+            flat = MetricsRegistry.flatten(registry.snapshot())
+            for entry in status["shards"]:
+                gauge = flat[
+                    "fleet_shard_heartbeat_age_seconds"
+                    f'{{shard="{entry["shard_id"]}"}}'
+                ]
+                assert entry["heartbeat_age_seconds"] > 0.2
+                assert abs(entry["heartbeat_age_seconds"] - gauge) <= 0.01
         finally:
             coordinator.terminate()
 
@@ -209,6 +236,24 @@ class TestStragglerDetection:
         flat = MetricsRegistry.flatten(registry.snapshot())
         assert flat["fleet_max_heartbeat_age_seconds"] < 1.0
 
+    def test_finished_shards_report_no_heartbeat_age(self, tmp_path):
+        # A finished worker is silent by design: its /shards row must
+        # agree with the gauges that leave it out, not show a growing age.
+        coordinator = _coordinator(tmp_path)
+        coordinator.start()
+        try:
+            coordinator.dispatch(_events())
+            coordinator.finish()
+            time.sleep(0.3)
+            status = coordinator.status()
+        finally:
+            coordinator.terminate()
+        assert all(
+            entry["heartbeat_age_seconds"] is None
+            for entry in status["shards"]
+        ), status["shards"]
+        assert status["fleet"]["max_heartbeat_age_seconds"] == 0
+
 
 class TestWorkerLifecycleEvents:
     def test_spawn_crash_respawn_replay_recorded(self, tmp_path):
@@ -217,7 +262,7 @@ class TestWorkerLifecycleEvents:
         # checkpoint_every_batches=2 guarantees the first batch is never
         # acked before the kill, so the respawn must replay it.
         coordinator = _coordinator(
-            tmp_path, registry=registry, flight=flight, worker_flight=True,
+            tmp_path, registry=registry, flight=flight,
             checkpoint_every_batches=2,
         )
         coordinator.start()
