@@ -256,7 +256,6 @@ def _run_sharded_stream(
     *,
     labelled,
     intro,
-    tracker_filter=None,
     pipeline=None,
     stream_config=None,
     registry=None,
@@ -286,7 +285,6 @@ def _run_sharded_stream(
         admin=admin,
         labelled=labelled,
         stream_config=stream_config or {},
-        tracker_filter=tracker_filter,
         registry=registry,
         tracer=tracer,
         trace_sampler=intro.sampler,
@@ -357,30 +355,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     result = runner.run()
     print()
     print(result.summary())
-    if args.workers > 1:
-        # Sharded replay: the final day's traffic back through the
-        # month's trained model, distributed across worker processes.
-        world = runner.build()
-        day = world.trace.start_day + len(world.trace) - 1
-        events = [
-            (
-                f"10.0.{r.user_id // 256}.{r.user_id % 256}",
-                r.timestamp, r.hostname, "tls-sni",
-            )
-            for r in world.trace.day(day)
-        ]
-        print(
-            f"sharded replay: day {day}, {len(events)} events across "
-            f"{args.workers} workers"
-        )
-        _run_sharded_stream(
-            events, args,
-            labelled=world.labelled,
-            tracker_filter=world.tracker_filter,
-            pipeline=world.profiler,
-            registry=registry, admin=admin,
-            tracer=tracer, intro=intro,
-        )
     if store is not None:
         latest = store.latest()
         if latest is not None:
@@ -854,10 +828,6 @@ def _drift_monitor(args, registry, tracer):
     from repro.obs.drift import DriftConfig, DriftMonitor
 
     config = DriftConfig(seed=args.seed, gate=args.drift_gate)
-    if args.drift_max_jsd is not None:
-        config.max_category_jsd = args.drift_max_jsd
-    if args.drift_max_churn is not None:
-        config.max_vocab_churn = args.drift_max_churn
     return DriftMonitor(config, registry=registry, tracer=tracer)
 
 
@@ -1104,16 +1074,13 @@ def cmd_stream(args: argparse.Namespace) -> int:
     )
     print(observer.quarantine.summary())
     if fleet is None:
-        model_state = (
-            f"index: {stream.index_backend}" if stream.has_model
-            else "model loaded: False"
-        )
         print(
             f"stream: {stream.events_seen} events, "
             f"{stream.active_clients} clients, "
             f"{stream.late_events_reordered} late reordered, "
             f"{stream.late_events_dropped} late dropped, "
-            f"{emissions} profiles emitted ({model_state})"
+            f"{emissions} profiles emitted "
+            f"(model loaded: {stream.has_model})"
         )
     else:
         clients = sum(s["active_clients"] for s in fleet.per_shard)
@@ -1372,7 +1339,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="base backoff seconds between retrain retries",
     )
     add_store_args(p)
-    add_shard_args(p)
     add_telemetry_args(p)
     add_admin_args(p)
     add_introspection_args(p)
@@ -1563,23 +1529,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--drift-gate", action="store_true",
-        help="veto a --train retrain whose drift check breaches the "
-        "configured thresholds (rollback + retract, see DESIGN.md)",
+        help="veto a --train retrain whose drift check breaches a "
+        "gate threshold (rollback + retract, see DESIGN.md)",
     )
     p.add_argument(
         "--drift-inject", choices=("label-shuffle",), default=None,
         help="after the normal retrain, run a second retrain on "
         "hostname-permuted sequences — a seeded drift rehearsal that "
         "must trip the gate",
-    )
-    p.add_argument(
-        "--drift-max-jsd", type=float, default=None, metavar="X",
-        help="gate threshold: max category-distribution JSD (default "
-        "from DriftConfig)",
-    )
-    p.add_argument(
-        "--drift-max-churn", type=float, default=None, metavar="X",
-        help="gate threshold: max vocabulary churn (1 - Jaccard)",
     )
     p.add_argument(
         "--metrics-flush-interval", type=float, default=None,

@@ -206,10 +206,6 @@ class SessionProfiler:
         """The vector index serving the Eq. 3 neighbourhood queries."""
         return self._index
 
-    @property
-    def index_backend(self) -> str:
-        return self._index.name
-
     def ambient_similarity(self, session_vector: np.ndarray) -> float:
         """Mean cosine of ``session_vector`` to the whole vocabulary.
 

@@ -203,13 +203,6 @@ class StreamingProfiler:
     def has_model(self) -> bool:
         return self._profiler is not None
 
-    @property
-    def index_backend(self) -> str | None:
-        """Backend name of the serving profiler's vector index, if any."""
-        if self._profiler is None:
-            return None
-        return getattr(self._profiler, "index_backend", None)
-
     def swap_model(
         self, profiler: SessionProfiler, generation: str | None = None
     ) -> None:
@@ -227,10 +220,7 @@ class StreamingProfiler:
         self.serving_generation = generation
         self._swaps_total.inc()
         if self.flight is not None:
-            self.flight.record(
-                "state", "model-swap", generation=generation,
-                backend=self.index_backend,
-            )
+            self.flight.record("state", "model-swap", generation=generation)
 
     def set_chaos_profile_delay(self, seconds: float) -> None:
         """Arm the latency-spike rehearsal: the serving profiler (and any

@@ -73,7 +73,7 @@ class RetrainOutcome:
     error: str | None                    # last failure, if any
     stats: TrainStats | None
     generation: str | None = None        # store generation published
-    rolled_back: bool = False            # validation failed, store rolled back
+    rolled_back: bool = False            # drift gate vetoed, store rolled back
 
 
 class RetrainSupervisor:
@@ -89,21 +89,20 @@ class RetrainSupervisor:
     When ``store`` (an :class:`~repro.store.ArtifactStore`) is attached,
     every successful retrain is published as a generation — the pipeline
     must then also provide ``publish_generation(store, day)`` /
-    ``load_generation(store)``.  ``validate`` is an optional callable
-    receiving the pipeline after a successful train; returning False (or
-    raising) marks the new model bad: the published generation is rolled
-    back, the previous one is reloaded into the pipeline, the stream
-    keeps serving what it already had, and the day counts as lost.
+    ``load_generation(store)``.
 
     When ``drift_monitor`` (a :class:`~repro.obs.drift.DriftMonitor`) is
     attached, every retrain that has a serving model to compare against
     runs a drift check; the report is published inside the new
-    generation, kept as ``last_drift_report`` for the admin plane, and —
-    when the monitor's config has ``gate`` set — a threshold breach is
-    handled exactly like a validation failure: rollback + retract, the
-    previous generation keeps serving.  While the post-train checks run,
-    ``validating`` is True (surfaced as the ``retrain_validating`` gauge
-    and flipping ``/readyz`` on an attached admin server).
+    generation and kept as ``last_drift_report`` for the admin plane.
+    When the monitor's config has ``gate`` set, a threshold breach
+    rejects the new model — the one way a trained model is rejected:
+    the published generation is rolled back and retracted, the previous
+    one is reloaded into the pipeline, the stream keeps serving what it
+    already had, and the day counts as lost.  While the post-train
+    checks run, ``validating`` is True (surfaced as the
+    ``retrain_validating`` gauge and flipping ``/readyz`` on an attached
+    admin server).
     """
 
     def __init__(
@@ -115,14 +114,12 @@ class RetrainSupervisor:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         store=None,
-        validate=None,
         drift_monitor=None,
         flight=None,
     ):
         self.pipeline = pipeline
         self.stream = stream
         self.store = store
-        self.validate = validate
         self.drift_monitor = drift_monitor
         # Optional flight recorder: retrain lifecycle transitions (publish,
         # rollback, drift-gate vetoes, lost days) become post-mortem events.
@@ -175,10 +172,6 @@ class RetrainSupervisor:
             "retrain_publish_failures_total",
             "Retrains whose store publish failed (model served unpersisted).",
         )
-        self._validation_failures_total = m.counter(
-            "retrain_validation_failures_total",
-            "Retrained models rejected by post-train validation.",
-        )
         self._rollbacks_total = m.counter(
             "retrain_rollbacks_total",
             "Store rollbacks triggered by failed validation.",
@@ -225,18 +218,6 @@ class RetrainSupervisor:
             )
         return delay
 
-    def _index_backend(self) -> str | None:
-        """Backend name of the just-published profiler's index, if any.
-
-        Purely informational (it only feeds the success log line), so any
-        pipeline without a live profiler — including duck-typed test
-        doubles — degrades to None rather than failing the retrain.
-        """
-        try:
-            return self.pipeline.profiler.index_backend
-        except Exception:
-            return None
-
     def _record_error(self, day: int, error: Exception) -> None:
         if len(self.errors) < self.config.max_recorded_errors:
             self.errors.append((day, f"{type(error).__name__}: {error}"))
@@ -273,20 +254,8 @@ class RetrainSupervisor:
         self._generations_published_total.inc()
         return record.generation_id
 
-    def _run_validation(self) -> Exception | None:
-        """None if the freshly trained model passes; the failure otherwise."""
-        try:
-            verdict = self.validate(self.pipeline)
-        except Exception as error:
-            return error
-        if verdict is False:
-            return ValueError("post-train validation returned False")
-        return None
-
-    def _handle_validation_failure(
-        self, day: int, generation_id: str | None
-    ) -> bool:
-        """Undo a bad publish; True if a previous generation now serves.
+    def _roll_back(self, day: int, generation_id: str | None) -> bool:
+        """Undo a vetoed publish; True if a previous generation now serves.
 
         Rolls the store back to the previous generation, reloads it into
         the pipeline (so direct ``pipeline.profiler`` callers also serve
@@ -304,7 +273,7 @@ class RetrainSupervisor:
         except StoreError:
             self.store.retract(generation_id)
             log.error(
-                "first-ever generation failed validation; retracted",
+                "first-ever generation rejected by drift gate; retracted",
                 day=day, generation=generation_id,
             )
             return False
@@ -321,7 +290,8 @@ class RetrainSupervisor:
             )
             return True
         log.warning(
-            "validation failed; rolled back to previous generation",
+            "drift gate rejected retrained model; rolled back to previous "
+            "generation",
             day=day, rejected=generation_id,
             now_serving=previous.generation_id,
         )
@@ -345,22 +315,12 @@ class RetrainSupervisor:
         """
         if self.drift_monitor is None or serving_profiler is None:
             return None
-        if self.stream is not None:
-            from repro.obs.drift import stream_health_rates
-
-            quarantine_rate, late_rate = stream_health_rates(
-                self.stream.registry
-            )
-        else:
-            quarantine_rate = late_rate = None
         try:
             report = self.drift_monitor.compare(
                 serving_profiler,
                 self.pipeline.profiler,
                 serving_generation=serving_generation,
                 candidate_day=day,
-                quarantine_rate=quarantine_rate,
-                late_drop_rate=late_rate,
             )
         except Exception as error:
             self._record_error(day, error)
@@ -388,7 +348,7 @@ class RetrainSupervisor:
 
         Each retrain runs under its own :class:`TraceContext`, so the
         ``retrain.day`` span and everything opened beneath it (training,
-        publish, validation) form one trace.
+        drift check, publish) form one trace.
         """
         if self.tracer.null:
             return self._retrain(trace, day)
@@ -440,22 +400,16 @@ class RetrainSupervisor:
                 drift_report = self._drift_check(
                     serving_profiler, serving_generation, day
                 )
-                # Publish first, validate second: a rejected model is
-                # rolled back through the same pointer swap an operator
-                # would use, so the recovery path is exercised on every
-                # bad retrain.  The drift report (if any) is published
-                # inside the generation even when the gate then vetoes
-                # it — the retracted generation's post-mortem rides in
+                # Publish first, gate second: a vetoed model is rolled
+                # back through the same pointer swap an operator would
+                # use, so the recovery path is exercised on every bad
+                # retrain.  The drift report (if any) is published inside
+                # the generation even when the gate then vetoes it — the
+                # retracted generation's post-mortem rides in
                 # last_drift_report.
                 generation_id = self._publish(day, drift_report)
-                failure = None
-                if self.validate is not None:
-                    failure = self._run_validation()
-                    if failure is not None:
-                        self._validation_failures_total.inc()
                 if (
-                    failure is None
-                    and drift_report is not None
+                    drift_report is not None
                     and self.drift_monitor.config.gate
                     and not drift_report.ok
                 ):
@@ -468,14 +422,11 @@ class RetrainSupervisor:
                         "drift gate breached; rejecting retrained model",
                         day=day, breaches=list(drift_report.breaches),
                     )
-                if failure is not None:
                     succeeded = False
                     stats = None   # the rejected model's stats don't count
                     last_error = failure
                     self._record_error(day, failure)
-                    rolled_back = self._handle_validation_failure(
-                        day, generation_id
-                    )
+                    rolled_back = self._roll_back(day, generation_id)
                     if self.flight is not None:
                         self.flight.record(
                             "state", "retrain-rejected", day=day,
@@ -491,12 +442,7 @@ class RetrainSupervisor:
             self._successes_total.inc()
             self._consecutive_failures_gauge.set(0)
             self.last_success_day = day
-            log.info(
-                "retrain published",
-                day=day,
-                index_backend=self._index_backend(),
-                generation=generation_id,
-            )
+            log.info("retrain published", day=day, generation=generation_id)
             if self.flight is not None:
                 self.flight.record(
                     "state", "retrain-published", day=day,

@@ -24,13 +24,7 @@ On top of the aggregate layer sits the deep introspection plane:
 """
 
 from repro.obs.doctor import collect_bundle
-from repro.obs.drift import (
-    DriftConfig,
-    DriftMonitor,
-    DriftReport,
-    EwmaDetector,
-    stream_health_rates,
-)
+from repro.obs.drift import DriftConfig, DriftMonitor, DriftReport
 from repro.obs.flight import FlightRecorder
 from repro.obs.flush import MetricsFlusher
 from repro.obs.logging import (
@@ -83,7 +77,6 @@ __all__ = [
     "DriftConfig",
     "DriftMonitor",
     "DriftReport",
-    "EwmaDetector",
     "FlightRecorder",
     "Gauge",
     "HeadSampler",
@@ -123,7 +116,6 @@ __all__ = [
     "snapshot_to_prometheus",
     "span_from_wire",
     "span_to_wire",
-    "stream_health_rates",
     "use_trace",
     "validate_buckets",
 ]

@@ -5,14 +5,14 @@ serving the new model (§5.4).  The dangerous failures of that loop are
 slow and silent: the hostname mix shifts (arXiv:1710.00069 shows profile
 quality is highly sensitive to the observed hostname distribution), the
 embedding space reorganises (arXiv:2401.07410 shows DNS-embedding quality
-degrades silently under distribution drift), label coverage decays, or
-the upstream capture starts quarantining a growing share of its input.
+degrades silently under distribution drift), or label coverage decays.
 None of those throw an exception — the retrain "succeeds" and the served
-profiles quietly rot.
+profiles quietly rot.  (Input hygiene — a capture quarantining a growing
+share of its packets — is watched live by the ``stream-quarantine-ratio``
+SLO, not here.)
 
 :class:`DriftMonitor` compares a **candidate** model (the one a retrain
-just produced) against the **serving** one along four axes, plus two
-stream-health anomaly detectors:
+just produced) against the **serving** one along four axes:
 
 * **vocabulary churn** — Jaccard similarity of the two vocabularies; a
   collapse means the observed hostname mix changed wholesale;
@@ -27,16 +27,13 @@ stream-health anomaly detectors:
 * **category-distribution shift** — Jensen–Shannon divergence (base 2,
   so in [0, 1]) between the mean category distributions both models
   assign to a fixed, seeded probe-session grid drawn from the shared
-  vocabulary;
-* **EWMA anomaly detection** — exponentially weighted mean/variance
-  trackers over the stream's quarantine and late-drop rates flag a
-  retrain that happens while the *input* is misbehaving.
+  vocabulary.
 
 Every comparison produces a :class:`DriftReport`; breached thresholds
 (from :class:`DriftConfig`) are listed by name, and the supervisor's
-drift gate treats a non-empty breach list exactly like a failed
-post-train validation: rollback + retract, previous generation keeps
-serving.  Reports are JSON-serializable (canonical form via
+drift gate — its only way to reject a retrained model — turns a
+non-empty breach list into rollback + retract: the previous generation
+keeps serving.  Reports are JSON-serializable (canonical form via
 ``utils/serialization.py``) and are published as a component of every
 store generation, so a post-mortem can replay the drift history of a
 deployment from the store alone.
@@ -44,7 +41,6 @@ deployment from the store alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,13 +80,6 @@ class DriftConfig:
     max_labelled_coverage_drop: float = 0.3  # relative drop in |H_L ∩ V|
     max_category_jsd: float = 0.25           # JSD of probe-grid profiles
 
-    # -- EWMA stream-health anomaly detection --------------------------------
-    ewma_alpha: float = 0.3
-    ewma_threshold_sigma: float = 4.0
-    ewma_warmup: int = 3
-    # Anomalies annotate the report; they only veto when this is set.
-    gate_on_anomalies: bool = False
-
     def validate(self) -> None:
         if self.sample_hosts < 1:
             raise ValueError("sample_hosts must be >= 1")
@@ -108,12 +97,6 @@ class DriftConfig:
             raise ValueError("max_labelled_coverage_drop must be in [0, 1]")
         if not 0 <= self.max_category_jsd <= 1:
             raise ValueError("max_category_jsd must be in [0, 1]")
-        if not 0 < self.ewma_alpha <= 1:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.ewma_threshold_sigma <= 0:
-            raise ValueError("ewma_threshold_sigma must be positive")
-        if self.ewma_warmup < 1:
-            raise ValueError("ewma_warmup must be >= 1")
 
     def thresholds(self) -> dict:
         """The gate thresholds, for embedding into reports."""
@@ -122,63 +105,6 @@ class DriftConfig:
             "min_neighbour_overlap": self.min_neighbour_overlap,
             "max_labelled_coverage_drop": self.max_labelled_coverage_drop,
             "max_category_jsd": self.max_category_jsd,
-        }
-
-
-class EwmaDetector:
-    """EWMA mean/variance tracker that flags outlier observations.
-
-    Classic exponentially-weighted moving average with a companion EWMA
-    of the squared deviation; an observation further than
-    ``threshold_sigma`` standard deviations from the running mean is
-    anomalous.  The first ``warmup`` observations only prime the state —
-    a monitor must not alarm on the very first rate it ever sees.
-    """
-
-    def __init__(
-        self,
-        alpha: float = 0.3,
-        threshold_sigma: float = 4.0,
-        warmup: int = 3,
-    ):
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self.threshold_sigma = threshold_sigma
-        self.warmup = warmup
-        self.mean = 0.0
-        self.variance = 0.0
-        self.samples = 0
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(max(self.variance, 0.0))
-
-    def update(self, value: float) -> bool:
-        """Fold in one observation; True if it was anomalous."""
-        value = float(value)
-        anomalous = False
-        if self.samples >= self.warmup:
-            # A flat-lined series (std 0) alarms on any change at all,
-            # so give the band a small absolute floor.
-            band = self.threshold_sigma * max(self.std, 1e-6)
-            anomalous = abs(value - self.mean) > band
-        if self.samples == 0:
-            self.mean = value
-        else:
-            deviation = value - self.mean
-            self.mean += self.alpha * deviation
-            self.variance = (1 - self.alpha) * (
-                self.variance + self.alpha * deviation * deviation
-            )
-        self.samples += 1
-        return anomalous
-
-    def state(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std": self.std,
-            "samples": self.samples,
         }
 
 
@@ -197,9 +123,6 @@ class DriftReport:
     labelled_coverage_candidate: int
     labelled_coverage_delta: float    # relative; negative = coverage drop
     category_jsd: float               # base-2 JSD, in [0, 1]
-    quarantine_rate: float | None = None
-    late_drop_rate: float | None = None
-    anomalies: tuple[str, ...] = ()
     breaches: tuple[str, ...] = ()
     thresholds: dict = field(default_factory=dict)
 
@@ -222,9 +145,6 @@ class DriftReport:
             "labelled_coverage_candidate": self.labelled_coverage_candidate,
             "labelled_coverage_delta": self.labelled_coverage_delta,
             "category_jsd": self.category_jsd,
-            "quarantine_rate": self.quarantine_rate,
-            "late_drop_rate": self.late_drop_rate,
-            "anomalies": list(self.anomalies),
             "breaches": list(self.breaches),
             "thresholds": dict(self.thresholds),
             "ok": self.ok,
@@ -232,6 +152,12 @@ class DriftReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DriftReport":
+        """Rebuild a report; keys it does not know are ignored.
+
+        Stores on disk may hold ``repro-drift-v1`` reports that also
+        carry ``quarantine_rate``, ``late_drop_rate`` and ``anomalies``;
+        they must stay readable.
+        """
         if payload.get("format") != DRIFT_REPORT_FORMAT:
             raise ValueError(
                 f"not a {DRIFT_REPORT_FORMAT} payload: "
@@ -255,9 +181,6 @@ class DriftReport:
                 payload["labelled_coverage_delta"]
             ),
             category_jsd=float(payload["category_jsd"]),
-            quarantine_rate=payload.get("quarantine_rate"),
-            late_drop_rate=payload.get("late_drop_rate"),
-            anomalies=tuple(payload.get("anomalies", ())),
             breaches=tuple(payload.get("breaches", ())),
             thresholds=dict(payload.get("thresholds", {})),
         )
@@ -306,9 +229,6 @@ class DriftMonitor:
     instances (each carries its embeddings, its bound vector index, and
     its view of the labelled set), so the monitor needs no access to
     training internals — it probes the exact objects that would serve.
-    The monitor is long-lived: its EWMA stream-health state accumulates
-    across retrains, which is what lets it notice a *rate change* rather
-    than an absolute level.
     """
 
     def __init__(
@@ -321,13 +241,6 @@ class DriftMonitor:
         self.config.validate()
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        cfg = self.config
-        self._quarantine_ewma = EwmaDetector(
-            cfg.ewma_alpha, cfg.ewma_threshold_sigma, cfg.ewma_warmup
-        )
-        self._late_ewma = EwmaDetector(
-            cfg.ewma_alpha, cfg.ewma_threshold_sigma, cfg.ewma_warmup
-        )
         m = self.registry
         self._checks_total = m.counter(
             "drift_checks_total", "Candidate-vs-serving drift comparisons."
@@ -336,11 +249,6 @@ class DriftMonitor:
             "drift_breaches_total",
             "Threshold breaches, by drift metric.",
             labelnames=("metric",),
-        )
-        self._anomalies_total = m.counter(
-            "drift_anomalies_total",
-            "EWMA stream-health anomalies, by rate.",
-            labelnames=("rate",),
         )
         self._vocab_churn_gauge = m.gauge(
             "drift_vocab_churn", "1 - Jaccard(vocabularies), last check."
@@ -420,33 +328,6 @@ class DriftMonitor:
             after += candidate.profile(list(hosts)).categories
         return _jensen_shannon(before, after)
 
-    # -- stream health ---------------------------------------------------------
-
-    def observe_stream_health(
-        self,
-        quarantine_rate: float | None,
-        late_drop_rate: float | None,
-    ) -> tuple[str, ...]:
-        """Feed the EWMA detectors; returns the anomaly names tripped."""
-        anomalies = []
-        if quarantine_rate is not None and self._quarantine_ewma.update(
-            quarantine_rate
-        ):
-            anomalies.append("quarantine_rate")
-            self._anomalies_total.labels(rate="quarantine").inc()
-        if late_drop_rate is not None and self._late_ewma.update(
-            late_drop_rate
-        ):
-            anomalies.append("late_drop_rate")
-            self._anomalies_total.labels(rate="late_drop").inc()
-        return tuple(anomalies)
-
-    def ewma_state(self) -> dict:
-        return {
-            "quarantine": self._quarantine_ewma.state(),
-            "late_drop": self._late_ewma.state(),
-        }
-
     # -- the comparison --------------------------------------------------------
 
     def compare(
@@ -455,15 +336,12 @@ class DriftMonitor:
         candidate,
         serving_generation: str | None = None,
         candidate_day: int | None = None,
-        quarantine_rate: float | None = None,
-        late_drop_rate: float | None = None,
     ) -> DriftReport:
         """Compare two profilers; returns the report (never raises on drift).
 
-        ``serving`` / ``candidate`` are session profilers; pass stream
-        health rates to fold this check's input quality into the EWMA
-        detectors.  Breaches are *reported*, not raised — enforcement is
-        the supervisor's drift gate.
+        ``serving`` / ``candidate`` are session profilers.  Breaches are
+        *reported*, not raised — enforcement is the supervisor's drift
+        gate.
         """
         cfg = self.config
         with self.tracer.span(
@@ -488,9 +366,6 @@ class DriftMonitor:
                 if coverage_before else 0.0
             )
             jsd = self._category_shift(serving, candidate, shared)
-            anomalies = self.observe_stream_health(
-                quarantine_rate, late_drop_rate
-            )
 
             breaches = []
             if churn > cfg.max_vocab_churn:
@@ -501,8 +376,6 @@ class DriftMonitor:
                 breaches.append("labelled_coverage")
             if jsd > cfg.max_category_jsd:
                 breaches.append("category_jsd")
-            if cfg.gate_on_anomalies and anomalies:
-                breaches.append("stream_health")
 
         self._checks_total.inc()
         self._vocab_churn_gauge.set(churn)
@@ -524,9 +397,6 @@ class DriftMonitor:
             labelled_coverage_candidate=coverage_after,
             labelled_coverage_delta=coverage_delta,
             category_jsd=jsd,
-            quarantine_rate=quarantine_rate,
-            late_drop_rate=late_drop_rate,
-            anomalies=anomalies,
             breaches=tuple(breaches),
             thresholds=cfg.thresholds(),
         )
@@ -539,27 +409,3 @@ class DriftMonitor:
             )
         return report
 
-
-def stream_health_rates(registry: MetricsRegistry) -> tuple[float, float]:
-    """(quarantine rate, late-drop rate) from a shared registry.
-
-    Rates are relative to the events the stream has ingested; a registry
-    without those families (or a :class:`NullRegistry`) yields zeros, so
-    callers can pass the result straight to :meth:`DriftMonitor.compare`.
-    """
-    events = registry.counter(
-        "stream_events_total",
-        "Hostname events ingested by the streaming profiler.",
-    ).value
-    if events <= 0:
-        return 0.0, 0.0
-    quarantined = registry.counter(
-        "quarantine_admitted_total",
-        "Malformed inputs quarantined, by error kind.",
-        labelnames=("kind",),
-    ).total()
-    late = registry.counter(
-        "stream_late_events_dropped_total",
-        "Out-of-order events older than the lateness bound, dropped.",
-    ).value
-    return quarantined / events, late / events

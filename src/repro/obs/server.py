@@ -19,9 +19,8 @@ route              serves
 ``/readyz``        200 iff a model generation is loaded **and** the
                    supervisor is not mid-validation; 503 otherwise, with
                    a JSON body explaining which condition failed
-``/varz``          JSON snapshot: run_id, serving generation, index
-                   backend, uptime, checkpoint age, stream/supervisor
-                   counters
+``/varz``          JSON snapshot: run_id, serving generation, uptime,
+                   checkpoint age, stream/supervisor counters
 ``/generations``   the artifact store's manifest list
 ``/drift/latest``  the most recent :class:`~repro.obs.drift.DriftReport`
 ``/slo``           every declared objective with burn rates and budgets
@@ -320,18 +319,6 @@ class AdminServer:
             return store.latest_id()
         return None
 
-    def _index_backend(self) -> str | None:
-        stream = _resolve(self._stream)
-        if stream is not None and stream.index_backend is not None:
-            return stream.index_backend
-        pipeline = _resolve(self._pipeline)
-        if pipeline is not None:
-            try:
-                return pipeline.profiler.index_backend
-            except Exception:
-                return None
-        return None
-
     def varz(self) -> dict:
         """The ``/varz`` JSON: one glance at what this process is doing."""
         now = time.time()
@@ -344,7 +331,6 @@ class AdminServer:
                 else round(now - self._started_at, 3)
             ),
             "serving_generation": self._serving_generation(),
-            "index_backend": self._index_backend(),
             "model_loaded": self.model_loaded(),
         }
         if stream is not None:

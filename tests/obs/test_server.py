@@ -216,9 +216,7 @@ class TestReadyz:
 class TestVarz:
     def test_reports_process_and_stream_state(self, server, tmp_path):
         stream = StreamingProfiler(StreamingConfig())
-        stream.swap_model(
-            SimpleNamespace(index_backend="exact"), generation="g000001"
-        )
+        stream.swap_model(SimpleNamespace(), generation="g000001")
         stream.ingest(_event("a.com", 0.0))
         stream.checkpoint(tmp_path / "state.json")
         server.attach(stream=stream, supervisor=_fake_supervisor())
@@ -228,7 +226,8 @@ class TestVarz:
         assert payload["run_id"] == "test-run"
         assert payload["uptime_seconds"] >= 0
         assert payload["serving_generation"] == "g000001"
-        assert payload["index_backend"] == "exact"
+        # One vector index exists, so /varz names no backend.
+        assert "index_backend" not in payload
         assert payload["model_loaded"] is True
         assert payload["stream"]["events_seen"] == 1
         assert payload["stream"]["model_swaps"] == 1

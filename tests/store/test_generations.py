@@ -13,6 +13,7 @@ from repro.core.skipgram import SkipGramConfig, SkipGramModel
 from repro.core.streaming import StreamingConfig, StreamingProfiler
 from repro.core.supervisor import RetrainSupervisor, SupervisorConfig
 from repro.netobs.flows import HostnameEvent
+from repro.obs.drift import DriftConfig, DriftReport
 from repro.store import (
     EMBEDDINGS_COMPONENT,
     MANIFEST_NAME,
@@ -91,7 +92,6 @@ class TestPublishLoadRoundTrip:
         assert restored.is_trained
         got = restored.profile_session(session)
         np.testing.assert_allclose(got.categories, expected.categories)
-        assert restored.profiler.index_backend == "exact"
 
     def test_load_does_not_rebuild(
         self, trained, store, labelled, tracker_filter, monkeypatch
@@ -249,7 +249,6 @@ class TestKillAndRestore:
             checkpoint, store=store, pipeline=fresh
         )
         assert resumed.has_model
-        assert resumed.index_backend == "exact"
 
         tail = resumed.ingest_many(events[cut:])
         assert len(tail) == len(expected_tail)
@@ -290,6 +289,29 @@ class TestKillAndRestore:
         assert resumed.model_swaps == stream.model_swaps
 
 
+class _ScriptedGate:
+    """Gated drift-monitor double: each ``compare`` replays one verdict."""
+
+    config = DriftConfig(gate=True)
+
+    def __init__(self, *passes: bool):
+        self._passes = iter(passes)
+
+    def compare(
+        self, serving, candidate, serving_generation=None, candidate_day=None
+    ):
+        breaches = () if next(self._passes) else ("neighbour_overlap",)
+        return DriftReport(
+            serving_generation=serving_generation,
+            candidate_day=candidate_day,
+            vocab_jaccard=1.0, vocab_churn=0.0, shared_hosts=0,
+            neighbour_overlap=0.0 if breaches else 1.0, sampled_hosts=0,
+            labelled_coverage_serving=0, labelled_coverage_candidate=0,
+            labelled_coverage_delta=0.0, category_jsd=0.0,
+            breaches=breaches,
+        )
+
+
 class TestSupervisorStore:
     def _supervisor(self, pipeline, store, **kwargs):
         return RetrainSupervisor(
@@ -317,9 +339,10 @@ class TestSupervisorStore:
         self, trace, store, labelled, tracker_filter
     ):
         pipeline = _pipeline(labelled, tracker_filter)
-        verdicts = iter([True, False])
+        # The first retrain has no serving model to compare against, so
+        # the gate's one verdict lands on the second.
         supervisor = self._supervisor(
-            pipeline, store, validate=lambda p: next(verdicts)
+            pipeline, store, drift_monitor=_ScriptedGate(False)
         )
         assert supervisor.retrain(trace, 0).succeeded
         day0_vectors = pipeline.embeddings.vectors.copy()
@@ -329,7 +352,7 @@ class TestSupervisorStore:
         assert outcome.rolled_back
         assert outcome.generation is None
         assert outcome.stats is None
-        assert "validation" in outcome.error
+        assert "drift gate breached" in outcome.error
         # The store serves day 0 again and the bad generation is gone.
         assert store.latest_id() == "g000001"
         assert [r.generation_id for r in store.list_generations()] == [
@@ -337,17 +360,19 @@ class TestSupervisorStore:
         ]
         # The pipeline was reloaded from the rolled-back generation.
         assert np.array_equal(pipeline.embeddings.vectors, day0_vectors)
-        assert supervisor._validation_failures_total.value == 1
         assert supervisor._rollbacks_total.value == 1
 
     def test_first_generation_rejection_empties_store(
         self, trace, store, labelled, tracker_filter
     ):
+        # A model serves before the store's first publish, so the gate
+        # has something to compare the first generation against.
         pipeline = _pipeline(labelled, tracker_filter)
+        pipeline.train_on_day(trace, 0)
         supervisor = self._supervisor(
-            pipeline, store, validate=lambda p: False
+            pipeline, store, drift_monitor=_ScriptedGate(False)
         )
-        outcome = supervisor.retrain(trace, 0)
+        outcome = supervisor.retrain(trace, 1)
         assert not outcome.succeeded
         assert not outcome.rolled_back   # nothing earlier to roll back to
         assert store.latest_id() is None
@@ -358,15 +383,14 @@ class TestSupervisorStore:
     ):
         pipeline = _pipeline(labelled, tracker_filter)
         stream = StreamingProfiler(StreamingConfig())
-        verdicts = iter([True, False])
         supervisor = RetrainSupervisor(
             pipeline, stream=stream, store=store,
             config=SupervisorConfig(max_attempts=1, jitter_fraction=0.0),
-            validate=lambda p: next(verdicts),
+            drift_monitor=_ScriptedGate(False),
         )
         supervisor.retrain(trace, 0)
         serving = stream._profiler
-        supervisor.retrain(trace, 1)   # rejected
+        assert supervisor.retrain(trace, 1).rolled_back
         assert stream._profiler is serving
         assert stream.model_swaps == 1
 
@@ -385,16 +409,3 @@ class TestSupervisorStore:
         assert outcome.succeeded
         assert outcome.generation is None
         assert supervisor._publish_failures_total.value == 1
-
-    def test_validation_pass_keeps_generation(
-        self, trace, store, labelled, tracker_filter
-    ):
-        pipeline = _pipeline(labelled, tracker_filter)
-        supervisor = self._supervisor(
-            pipeline, store, validate=lambda p: p.is_trained
-        )
-        outcome = supervisor.retrain(trace, 0)
-        assert outcome.succeeded
-        assert outcome.generation == "g000001"
-        assert not outcome.rolled_back
-        assert store.latest_id() == "g000001"

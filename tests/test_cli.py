@@ -52,8 +52,7 @@ class TestParser:
              "--admin-host", "0.0.0.0"],
             ["stream", "c.pcap", "--train", "--admin-port", "0",
              "--drift-gate", "--drift-inject", "label-shuffle"],
-            ["stream", "c.pcap", "--drift-gate", "--drift-max-jsd", "0.1",
-             "--drift-max-churn", "0.9"],
+            ["stream", "c.pcap", "--drift-gate"],
             ["stream", "c.pcap", "--metrics-out", "m.prom",
              "--metrics-flush-interval", "5", "--linger", "2"],
             ["experiment", "--admin-port", "8321"],
@@ -91,6 +90,22 @@ class TestParser:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments: --index-backend exact" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--workers", "2"],
+            ["stream", "c.pcap", "--drift-max-jsd", "0.1"],
+            ["stream", "c.pcap", "--drift-max-churn", "0.9"],
+        ],
+    )
+    def test_removed_options_rejected(self, argv, capsys):
+        """experiment runs no sharded replay; gate thresholds are fixed."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
     def test_unknown_drift_injection_rejected(self):
         with pytest.raises(SystemExit):
@@ -380,7 +395,7 @@ class TestStoreCli:
         ) == 0
         out = capsys.readouterr().out
         assert "serving stored g000002" in out
-        assert "profiles emitted (index:" in out
+        assert "profiles emitted (model loaded: True)" in out
 
     def test_stream_checkpoint_warm_restart(
         self, published, tmp_path, capsys
