@@ -16,6 +16,7 @@ import numpy as np
 from repro.ads.inventory import Ad, AdDatabase
 from repro.core.profiler import SessionProfile
 from repro.index import ExactIndex
+from repro.obs.metrics import NULL_REGISTRY
 
 
 @dataclass
@@ -62,6 +63,16 @@ class EavesdropperSelector:
             self.config.neighbour_hosts,
             max(3, int(len(self._hosts) * self.config.max_host_fraction)),
         )
+        # The paper serves only nearest-host ads; the top-up is ours, so
+        # count which path filled each slot.
+        registry = registry if registry is not None else NULL_REGISTRY
+        selected = registry.counter(
+            "ads_selected_total",
+            "Eavesdropper ads served, by the path that chose them.",
+            labelnames=("path",),
+        )
+        self._host_ads_total = selected.labels(path="host")
+        self._topup_ads_total = selected.labels(path="topup")
 
     def nearest_hosts(
         self, category_vector: np.ndarray, n: int | None = None
@@ -100,7 +111,9 @@ class EavesdropperSelector:
                     if len(selected) >= self.config.ads_per_report:
                         break
             rank += 1
-        if len(selected) < self.config.ads_per_report:
+        from_hosts = len(selected)
+        self._host_ads_total.inc(from_hosts)
+        if from_hosts < self.config.ads_per_report:
             for ad in self.database.nearest_by_category(
                 vector, self.config.ads_per_report * 2
             ):
@@ -109,4 +122,5 @@ class EavesdropperSelector:
                     seen.add(ad.ad_id)
                 if len(selected) >= self.config.ads_per_report:
                     break
+            self._topup_ads_total.inc(len(selected) - from_hosts)
         return selected

@@ -260,7 +260,6 @@ def _run_sharded_stream(
     stream_config=None,
     registry=None,
     admin=None,
-    batch_size=4096,
     tracer=None,
 ):
     """Fan event ingest across ``--workers`` shard processes.
@@ -276,7 +275,7 @@ def _run_sharded_stream(
     (``/trace/<id>``), lifecycle events land in the flight recorder, and
     the per-shard checkpoint dir also collects worker flight dumps.
     """
-    batch_size = getattr(args, "shard_batch_events", None) or batch_size
+    batch_size = args.shard_batch_events
     if batch_size <= 0:
         raise SystemExit("--shard-batch-events must be positive")
     coordinator, fleet_scope = _start_fleet(

@@ -126,6 +126,16 @@ class NetworkObserverProfiler:
         self.last_train_stats = model.stats
         return model.stats
 
+    def reinstate(self, profiler: SessionProfiler) -> None:
+        """Serve an already-built ``profiler`` and its embeddings again.
+
+        The retrain supervisor puts back the pre-retrain model this way
+        when its drift gate vetoes a retrain and no stored generation
+        can be reloaded instead.
+        """
+        self._embeddings = profiler.embeddings
+        self._profiler = profiler
+
     def _build_profiler(self, embeddings: HostnameEmbeddings) -> SessionProfiler:
         # The index is built over the fresh embedding matrix *before* the
         # profiler is published, so serving never sees a half-built index

@@ -73,7 +73,7 @@ class RetrainOutcome:
     error: str | None                    # last failure, if any
     stats: TrainStats | None
     generation: str | None = None        # store generation published
-    rolled_back: bool = False            # drift gate vetoed, store rolled back
+    rolled_back: bool = False            # vetoed; previous generation reloaded
 
 
 class RetrainSupervisor:
@@ -98,11 +98,12 @@ class RetrainSupervisor:
     When the monitor's config has ``gate`` set, a threshold breach
     rejects the new model — the one way a trained model is rejected:
     the published generation is rolled back and retracted, the previous
-    one is reloaded into the pipeline, the stream keeps serving what it
-    already had, and the day counts as lost.  While the post-train
-    checks run, ``validating`` is True (surfaced as the
-    ``retrain_validating`` gauge and flipping ``/readyz`` on an attached
-    admin server).
+    one is reloaded into the pipeline (or, with no generation to reload,
+    the pipeline's ``reinstate(profiler)`` puts the pre-retrain model
+    back), the stream keeps serving what it already had, and the day
+    counts as lost.  While the post-train checks run, ``validating`` is
+    True (surfaced as the ``retrain_validating`` gauge and flipping
+    ``/readyz`` on an attached admin server).
     """
 
     def __init__(
@@ -255,14 +256,14 @@ class RetrainSupervisor:
         return record.generation_id
 
     def _roll_back(self, day: int, generation_id: str | None) -> bool:
-        """Undo a vetoed publish; True if a previous generation now serves.
+        """Undo a vetoed publish; True if a previous generation reloaded.
 
         Rolls the store back to the previous generation, reloads it into
         the pipeline (so direct ``pipeline.profiler`` callers also serve
         the known-good model again), and retracts the rejected
         generation so no later rollback can ever land on it.  When the
-        bad generation was the first ever, it is simply retracted — the
-        store empties and the stream keeps whatever it already served.
+        bad generation was the first ever, it is simply retracted and
+        the store empties.
         """
         if self.store is None or generation_id is None:
             return False
@@ -288,7 +289,7 @@ class RetrainSupervisor:
                 day=day, generation=previous.generation_id,
                 error=f"{type(error).__name__}: {error}",
             )
-            return True
+            return False
         log.warning(
             "drift gate rejected retrained model; rolled back to previous "
             "generation",
@@ -427,6 +428,12 @@ class RetrainSupervisor:
                     last_error = failure
                     self._record_error(day, failure)
                     rolled_back = self._roll_back(day, generation_id)
+                    if not rolled_back:
+                        # No generation reloaded (no store, the first
+                        # ever, or a failed load): serve the pre-retrain
+                        # model again, so later retrains are gated
+                        # against it rather than the rejected one.
+                        self.pipeline.reinstate(serving_profiler)
                     if self.flight is not None:
                         self.flight.record(
                             "state", "retrain-rejected", day=day,

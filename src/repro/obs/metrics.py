@@ -337,7 +337,16 @@ class _Family:
         return child
 
     def _sole_child(self):
-        """The single child of an unlabelled family (created on demand)."""
+        """The single child of an unlabelled family (created on demand).
+
+        Every ``inc``/``set``/``observe`` on an unlabelled family lands
+        here, so the existing child is served straight from the dict; a
+        labelled family never has a ``()`` key and falls through to the
+        error.
+        """
+        child = self._children.get(())
+        if child is not None:
+            return child
         if self.labelnames:
             raise MetricError(
                 f"{self.name} is labelled by {self.labelnames}; "

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ads.inventory import Ad, AdDatabase, AdDatabaseConfig, IAB_SIZES
+from repro.index import ExactIndex, top_ids_desc
 
 
 def _ad(ad_id, cats, landing="shop.example.com", size=(300, 250), day=0):
@@ -52,6 +55,56 @@ class TestDatabase:
     def test_nearest_n_clamped(self):
         db = AdDatabase([_ad(0, [1.0]), _ad(1, [0.5])])
         assert len(db.nearest_by_category(np.array([1.0]), n=50)) == 2
+
+
+@st.composite
+def tied_databases(draw):
+    """Ads drawn from a few distinct rows (one-hot, zero or small ints),
+    so most rows repeat and many scores tie exactly, plus a query on a
+    coarse grid and a list length that may exceed the database."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    dtype = draw(st.sampled_from([np.float64, np.int64]))
+    row = st.one_of(
+        st.integers(min_value=0, max_value=dim).map(
+            lambda hot: np.eye(dim + 1)[hot][:dim]
+        ),
+        st.lists(
+            st.integers(min_value=0, max_value=2),
+            min_size=dim, max_size=dim,
+        ).map(np.array),
+    )
+    distinct = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(
+        st.integers(min_value=0, max_value=len(distinct) - 1),
+        min_size=1, max_size=40,
+    ))
+    ads = [
+        Ad(
+            ad_id=i, landing_domain=f"site{p}.example",
+            categories=distinct[p].astype(dtype),
+            width=300, height=250, created_day=0,
+        )
+        for i, p in enumerate(picks)
+    ]
+    query = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]),
+        min_size=dim, max_size=dim,
+    )))
+    n = draw(st.integers(min_value=1, max_value=len(ads) + 3))
+    return ads, query, n
+
+
+class TestNearestByCategoryProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_databases())
+    def test_ids_equal_brute_force_over_every_ad(self, drawn):
+        ads, query, n = drawn
+        db = AdDatabase(ads)
+        matrix = np.vstack([ad.categories for ad in ads])
+        scores = ExactIndex(matrix, metric="euclidean").scores_all(query)
+        expected = top_ids_desc(scores, n).tolist()
+        got = [ad.ad_id for ad in db.nearest_by_category(query, n)]
+        assert got == expected
 
 
 class TestHarvest:

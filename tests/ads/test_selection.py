@@ -1,10 +1,17 @@
 """Tests for eavesdropper ad selection."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from repro.ads.inventory import Ad, AdDatabase
+from repro.ads.inventory import Ad, AdDatabase, AdDatabaseConfig
 from repro.ads.selection import EavesdropperSelector, SelectorConfig
+from repro.obs.metrics import MetricsRegistry
+from repro.utils.randomness import derive_rng
+
+TEST_SEED = 1234
 
 
 def _setup(num_categories=6, hosts_per_category=5, ads_per_host=2):
@@ -111,3 +118,117 @@ class TestSelect:
             SelectorConfig(ads_per_report=0).validate()
         with pytest.raises(ValueError):
             SelectorConfig(max_host_fraction=0).validate()
+
+
+def _path_counts(registry):
+    family = registry.counter("ads_selected_total", labelnames=("path",))
+    return family.value_of(path="host"), family.value_of(path="topup")
+
+
+class TestSelectedPathCounter:
+    def test_counts_sum_to_ads_served(self):
+        labelled, db = _setup()
+        registry = MetricsRegistry()
+        # Three nearest hosts with two ads each fill 6 of 10 slots.
+        selector = EavesdropperSelector(
+            labelled, db, SelectorConfig(ads_per_report=10),
+            registry=registry,
+        )
+        served = 0
+        for cat in range(6):
+            profile = np.zeros(6)
+            profile[cat] = 1.0
+            served += len(selector.select(profile))
+        host, topup = _path_counts(registry)
+        assert (host, topup) == (36, 24)
+        assert host + topup == served
+
+    def test_hosts_without_ads_read_all_topup(self):
+        labelled, db = _setup()
+        db = AdDatabase([a for a in db if a.categories[0] != 1.0])
+        registry = MetricsRegistry()
+        selector = EavesdropperSelector(
+            labelled, db, SelectorConfig(ads_per_report=5),
+            registry=registry,
+        )
+        profile = np.zeros(6)
+        profile[0] = 1.0
+        assert len(selector.select(profile)) == 5
+        assert _path_counts(registry) == (0, 5)
+
+    def test_unused_selector_exports_both_paths_at_zero(self):
+        labelled, db = _setup()
+        registry = MetricsRegistry()
+        EavesdropperSelector(labelled, db, registry=registry)
+        # Both children are bound at construction, before any read.
+        assert [labels for labels, _ in registry.counter(
+            "ads_selected_total", labelnames=("path",)
+        ).samples()] == [{"path": "host"}, {"path": "topup"}]
+        assert _path_counts(registry) == (0, 0)
+
+
+#: SHA-256 of the ad ids served over the tier-1 world (conftest seed,
+#: 300 ads): one JSON line per profile vector holding ``select``'s list,
+#: then ``nearest_by_category`` at n = 1, 20, 40 and ``len(db)``.
+#: Recorded when every ad row was scored on its own; scoring each
+#: distinct category row once must not move a single id.
+GOLDEN_SERVED_ADS = (
+    "4d25b4ac72e387507dfe8fb559dfca0fed1eb04b21b58c0781c5ae5e0cdd7ae7"
+)
+
+
+def _golden_profiles(labelled, database):
+    """Profile vectors that reach both the nearest-host and top-up paths.
+
+    Advertisers' own label vectors put hosts with ads among the nearest;
+    non-advertisers' vectors and weighted mixtures of 2-5 labels (what a
+    session profile looks like) fall through to the top-up.
+    """
+    hosts = sorted(labelled)
+    advertisers = [h for h in hosts if database.ads_for_landing(h)]
+    others = [h for h in hosts if not database.ads_for_landing(h)]
+    vectors = [labelled[h] for h in advertisers[:8] + others[:8]]
+    rng = derive_rng(TEST_SEED, "golden-ads")
+    for _ in range(16):
+        k = int(rng.integers(2, 6))
+        picks = rng.choice(len(hosts), size=k, replace=False)
+        weights = rng.random(k)
+        mixture = sum(
+            w * labelled[hosts[int(p)]] for w, p in zip(weights, picks)
+        )
+        vectors.append(mixture / weights.sum())
+    return vectors
+
+
+class TestServedAdsGolden:
+    @pytest.fixture(scope="class")
+    def golden_world(self, web, labelled):
+        database = AdDatabase.harvest(
+            web, derive_rng(TEST_SEED, "ads"),
+            AdDatabaseConfig(target_size=300),
+        )
+        return labelled, database, _golden_profiles(labelled, database)
+
+    def test_served_ad_ids_match_golden_digest(self, golden_world):
+        labelled, database, profiles = golden_world
+        selector = EavesdropperSelector(labelled, database)
+        digest = hashlib.sha256()
+        for vector in profiles:
+            lists = [[ad.ad_id for ad in selector.select(vector)]]
+            for n in (1, 20, 40, len(database)):
+                lists.append([
+                    ad.ad_id
+                    for ad in database.nearest_by_category(vector, n)
+                ])
+            digest.update(json.dumps(lists).encode("utf-8") + b"\n")
+        assert digest.hexdigest() == GOLDEN_SERVED_ADS
+
+    def test_golden_profiles_reach_both_paths(self, golden_world):
+        labelled, database, profiles = golden_world
+        registry = MetricsRegistry()
+        selector = EavesdropperSelector(labelled, database, registry=registry)
+        for vector in profiles:
+            selector.select(vector)
+        # 640 ads over 32 profiles: 123 from nearest hosts, the rest
+        # from the top-up.
+        assert _path_counts(registry) == (123, 517)

@@ -296,10 +296,12 @@ class _ScriptedGate:
 
     def __init__(self, *passes: bool):
         self._passes = iter(passes)
+        self.serving = []   # the serving profiler of each compare
 
     def compare(
         self, serving, candidate, serving_generation=None, candidate_day=None
     ):
+        self.serving.append(serving)
         breaches = () if next(self._passes) else ("neighbour_overlap",)
         return DriftReport(
             serving_generation=serving_generation,
@@ -369,6 +371,7 @@ class TestSupervisorStore:
         # has something to compare the first generation against.
         pipeline = _pipeline(labelled, tracker_filter)
         pipeline.train_on_day(trace, 0)
+        serving = pipeline.profiler
         supervisor = self._supervisor(
             pipeline, store, drift_monitor=_ScriptedGate(False)
         )
@@ -377,6 +380,52 @@ class TestSupervisorStore:
         assert not outcome.rolled_back   # nothing earlier to roll back to
         assert store.latest_id() is None
         assert store.list_generations() == []
+        assert pipeline.profiler is serving
+
+    def test_veto_without_store_reinstates_serving_model(
+        self, trace, labelled, tracker_filter
+    ):
+        pipeline = _pipeline(labelled, tracker_filter)
+        stream = StreamingProfiler(StreamingConfig())
+        gate = _ScriptedGate(False, True)
+        supervisor = self._supervisor(
+            pipeline, None, stream=stream, drift_monitor=gate
+        )
+        assert supervisor.retrain(trace, 0).succeeded
+        day0 = pipeline.profiler
+
+        vetoed = supervisor.retrain(trace, 1)
+        assert not vetoed.succeeded
+        assert not vetoed.rolled_back   # no store: nothing reloaded
+        assert pipeline.profiler is stream._profiler
+        assert pipeline.profiler is day0
+        assert pipeline.embeddings is day0.embeddings
+
+        # The next retrain (the trace holds two days, so day 0 again) is
+        # gated against the day-0 model, not the vetoed day-1 one.
+        assert supervisor.retrain(trace, 0).succeeded
+        assert gate.serving == [day0, day0]
+        assert stream._profiler is pipeline.profiler is not day0
+
+    def test_failed_reload_reinstates_serving_model(
+        self, trace, store, labelled, tracker_filter, monkeypatch
+    ):
+        pipeline = _pipeline(labelled, tracker_filter)
+        supervisor = self._supervisor(
+            pipeline, store, drift_monitor=_ScriptedGate(False)
+        )
+        assert supervisor.retrain(trace, 0).succeeded
+        day0 = pipeline.profiler
+
+        def explode(store):
+            raise OSError("generation unreadable")
+
+        monkeypatch.setattr(pipeline, "load_generation", explode)
+        outcome = supervisor.retrain(trace, 1)
+        assert not outcome.succeeded
+        assert not outcome.rolled_back   # the store moved; nothing reloaded
+        assert store.latest_id() == "g000001"
+        assert pipeline.profiler is day0
 
     def test_stream_keeps_old_model_through_rollback(
         self, trace, store, labelled, tracker_filter
