@@ -93,11 +93,14 @@ class AdDatabase:
         # ``_row_of_ad`` maps every ad to its row.
         matrix = np.vstack([ad.categories for ad in ads])
         row_ids: dict[bytes, int] = {}
-        self._row_of_ad = np.array(
-            [row_ids.setdefault(row.tobytes(), len(row_ids)) for row in matrix],
-            dtype=np.intp,
-        )
-        _, first_ads = np.unique(self._row_of_ad, return_index=True)
+        first_ads: list[int] = []   # the first ad holding each row
+        row_of_ad: list[int] = []
+        for i, row in enumerate(matrix):
+            row_id = row_ids.setdefault(row.tobytes(), len(row_ids))
+            if row_id == len(first_ads):
+                first_ads.append(i)
+            row_of_ad.append(row_id)
+        self._row_of_ad = np.array(row_of_ad, dtype=np.intp)
         self._index = ExactIndex(
             matrix[first_ads], metric="euclidean", registry=registry
         )

@@ -795,8 +795,8 @@ class _SequenceTrainer:
             store, day=day, drift_report=drift_report
         )
 
-    def load_generation(self, store, generation_id=None):
-        return self._pipeline.load_generation(store, generation_id)
+    def reinstate(self, profiler):
+        self._pipeline.reinstate(profiler)
 
 
 def _shuffled_sequences(

@@ -130,8 +130,7 @@ class NetworkObserverProfiler:
         """Serve an already-built ``profiler`` and its embeddings again.
 
         The retrain supervisor puts back the pre-retrain model this way
-        when its drift gate vetoes a retrain and no stored generation
-        can be reloaded instead.
+        when its drift gate vetoes a retrain.
         """
         self._embeddings = profiler.embeddings
         self._profiler = profiler

@@ -73,7 +73,7 @@ class RetrainOutcome:
     error: str | None                    # last failure, if any
     stats: TrainStats | None
     generation: str | None = None        # store generation published
-    rolled_back: bool = False            # vetoed; previous generation reloaded
+    rolled_back: bool = False            # drift gate vetoed, store rolled back
 
 
 class RetrainSupervisor:
@@ -97,12 +97,11 @@ class RetrainSupervisor:
     generation and kept as ``last_drift_report`` for the admin plane.
     When the monitor's config has ``gate`` set, a threshold breach
     rejects the new model — the one way a trained model is rejected:
-    the published generation is rolled back and retracted, the previous
-    one is reloaded into the pipeline (or, with no generation to reload,
     the pipeline's ``reinstate(profiler)`` puts the pre-retrain model
-    back), the stream keeps serving what it already had, and the day
-    counts as lost.  While the post-train checks run, ``validating`` is
-    True (surfaced as the ``retrain_validating`` gauge and flipping
+    back, the published generation is rolled back and retracted, the
+    stream keeps serving what it already had, and the day counts as
+    lost.  While the post-train checks run, ``validating`` is True
+    (surfaced as the ``retrain_validating`` gauge and flipping
     ``/readyz`` on an attached admin server).
     """
 
@@ -256,12 +255,10 @@ class RetrainSupervisor:
         return record.generation_id
 
     def _roll_back(self, day: int, generation_id: str | None) -> bool:
-        """Undo a vetoed publish; True if a previous generation reloaded.
+        """Undo a vetoed publish in the store; True if it rolled back.
 
-        Rolls the store back to the previous generation, reloads it into
-        the pipeline (so direct ``pipeline.profiler`` callers also serve
-        the known-good model again), and retracts the rejected
-        generation so no later rollback can ever land on it.  When the
+        Rolls the store back to the previous generation and retracts the
+        rejected one, so no later rollback can ever land on it.  When the
         bad generation was the first ever, it is simply retracted and
         the store empties.
         """
@@ -280,16 +277,6 @@ class RetrainSupervisor:
             return False
         self._rollbacks_total.inc()
         self.store.retract(generation_id)
-        try:
-            self.pipeline.load_generation(self.store)
-        except Exception as error:
-            self._record_error(day, error)
-            log.error(
-                "reloading previous generation failed",
-                day=day, generation=previous.generation_id,
-                error=f"{type(error).__name__}: {error}",
-            )
-            return False
         log.warning(
             "drift gate rejected retrained model; rolled back to previous "
             "generation",
@@ -427,13 +414,12 @@ class RetrainSupervisor:
                     stats = None   # the rejected model's stats don't count
                     last_error = failure
                     self._record_error(day, failure)
+                    # The pre-retrain model (what the stream still
+                    # serves) serves the pipeline again, so direct
+                    # ``pipeline.profiler`` callers and later retrains'
+                    # drift checks see it rather than the rejected one.
+                    self.pipeline.reinstate(serving_profiler)
                     rolled_back = self._roll_back(day, generation_id)
-                    if not rolled_back:
-                        # No generation reloaded (no store, the first
-                        # ever, or a failed load): serve the pre-retrain
-                        # model again, so later retrains are gated
-                        # against it rather than the rejected one.
-                        self.pipeline.reinstate(serving_profiler)
                     if self.flight is not None:
                         self.flight.record(
                             "state", "retrain-rejected", day=day,

@@ -219,8 +219,8 @@ class _SequenceTrainer:
             store, day=day, drift_report=drift_report
         )
 
-    def load_generation(self, store):
-        return self.pipeline.load_generation(store)
+    def reinstate(self, profiler):
+        self.pipeline.reinstate(profiler)
 
     @property
     def profiler(self):

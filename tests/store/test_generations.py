@@ -347,6 +347,7 @@ class TestSupervisorStore:
             pipeline, store, drift_monitor=_ScriptedGate(False)
         )
         assert supervisor.retrain(trace, 0).succeeded
+        day0 = pipeline.profiler
         day0_vectors = pipeline.embeddings.vectors.copy()
 
         outcome = supervisor.retrain(trace, 1)
@@ -360,7 +361,8 @@ class TestSupervisorStore:
         assert [r.generation_id for r in store.list_generations()] == [
             "g000001"
         ]
-        # The pipeline was reloaded from the rolled-back generation.
+        # The pipeline serves the pre-retrain day-0 model again.
+        assert pipeline.profiler is day0
         assert np.array_equal(pipeline.embeddings.vectors, day0_vectors)
         assert supervisor._rollbacks_total.value == 1
 
@@ -396,7 +398,7 @@ class TestSupervisorStore:
 
         vetoed = supervisor.retrain(trace, 1)
         assert not vetoed.succeeded
-        assert not vetoed.rolled_back   # no store: nothing reloaded
+        assert not vetoed.rolled_back   # no store: nothing rolled back
         assert pipeline.profiler is stream._profiler
         assert pipeline.profiler is day0
         assert pipeline.embeddings is day0.embeddings
@@ -406,26 +408,6 @@ class TestSupervisorStore:
         assert supervisor.retrain(trace, 0).succeeded
         assert gate.serving == [day0, day0]
         assert stream._profiler is pipeline.profiler is not day0
-
-    def test_failed_reload_reinstates_serving_model(
-        self, trace, store, labelled, tracker_filter, monkeypatch
-    ):
-        pipeline = _pipeline(labelled, tracker_filter)
-        supervisor = self._supervisor(
-            pipeline, store, drift_monitor=_ScriptedGate(False)
-        )
-        assert supervisor.retrain(trace, 0).succeeded
-        day0 = pipeline.profiler
-
-        def explode(store):
-            raise OSError("generation unreadable")
-
-        monkeypatch.setattr(pipeline, "load_generation", explode)
-        outcome = supervisor.retrain(trace, 1)
-        assert not outcome.succeeded
-        assert not outcome.rolled_back   # the store moved; nothing reloaded
-        assert store.latest_id() == "g000001"
-        assert pipeline.profiler is day0
 
     def test_stream_keeps_old_model_through_rollback(
         self, trace, store, labelled, tracker_filter

@@ -445,6 +445,22 @@ class TestOpsCli:
         assert len(lines) == 1
         assert lines[0].startswith("* g000001")
 
+    def test_drift_injection_without_store_keeps_streaming(
+        self, tmp_path, capsys
+    ):
+        pcap = tmp_path / "capture.pcap"
+        main(["synthesize", *self.WORLD, "--output", str(pcap)])
+        capsys.readouterr()
+        assert main(
+            ["stream", str(pcap), "--train", "--seed", "5",
+             "--sites", "120", "--train-epochs", "2", "--drift-gate",
+             "--drift-inject", "label-shuffle"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "drift gate rejected injected retrain" in out
+        assert "rolled back to in-memory model" in out
+        assert "profiles emitted (model loaded: True)" in out
+
     def test_flush_interval_requires_metrics_out(self, tmp_path, capsys):
         pcap = tmp_path / "capture.pcap"
         main(["synthesize", *self.WORLD, "--output", str(pcap)])
