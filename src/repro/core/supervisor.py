@@ -414,8 +414,8 @@ class RetrainSupervisor:
                     stats = None   # the rejected model's stats don't count
                     last_error = failure
                     self._record_error(day, failure)
-                    # The pre-retrain model (what the stream still
-                    # serves) serves the pipeline again, so direct
+                    # Put the pre-retrain model (the one the stream still
+                    # serves) back in the pipeline, so direct
                     # ``pipeline.profiler`` callers and later retrains'
                     # drift checks see it rather than the rejected one.
                     self.pipeline.reinstate(serving_profiler)
